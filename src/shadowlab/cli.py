@@ -2,8 +2,10 @@
 
 Exit codes: 0 the experiment ran and every checked property held; 1 the
 experiment ran but a property failed (including generation failures, which
-are negative results, not crashes); 2 the config was rejected; 3 a capacity
-budget was exceeded before the experiment could finish.
+are negative results, not crashes); 2 the config was rejected, or a file it
+involves could not be read or written (the config itself, a chain CSV it
+reads, a CSV side file or the ``--out`` report), each reported on one line;
+3 a capacity budget was exceeded before the experiment could finish.
 """
 
 from __future__ import annotations
@@ -56,8 +58,13 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     text = _render(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

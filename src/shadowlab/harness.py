@@ -8,6 +8,7 @@ timestamps; wall-clock timing is the CLI's business and goes to stderr.
 from __future__ import annotations
 
 import csv as _csv
+from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from random import Random
@@ -264,6 +265,16 @@ def to_jsonable(obj):
     return obj
 
 
+@contextmanager
+def _side_file(action: str, path: str):
+    """Turn an OSError on a CSV side file into a one-line config fault."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot {action} {path}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def _space(group_name: str) -> ShiftSpace:
     spec = _GROUPS[group_name]()
     return ShiftSpace(GroupGeometry(spec))
@@ -409,7 +420,8 @@ def _run_toral_stability(params: dict, rng: Random, output: dict):
         splitting = spectral_splitting(A)
         h_pts, _ = conjugacy_points(A, pmap, splitting, pts, params["window"])
         n = len(A)
-        with open(grid_path, "w", newline="") as fh:
+        with _side_file("write", grid_path), \
+                open(grid_path, "w", newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow([f"x{i}" for i in range(n)]
                             + [f"h{i}" for i in range(n)])
@@ -432,7 +444,8 @@ def _build_chain(params: dict):
     path = chain_cfg.get("path")
     if not path:
         raise ConfigError("csv chain needs a path")
-    return chain_from_csv(path)
+    with _side_file("read", path):
+        return chain_from_csv(path)
 
 
 def _run_cantor_trace(params: dict, rng: Random, output: dict):
@@ -467,7 +480,8 @@ def _run_cantor_trace(params: dict, rng: Random, output: dict):
         passed = cert.found
     out_path = output.get("chain_csv")
     if out_path:
-        chain_to_csv(chain, out_path)
+        with _side_file("write", out_path):
+            chain_to_csv(chain, out_path)
     return results, passed
 
 

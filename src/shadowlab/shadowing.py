@@ -21,14 +21,12 @@ Radius bookkeeping, fixed once and used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Optional
 
 from .errors import CapacityError, GenerationError
-from .groups import GroupElement
 from .shifts import (
     NODE_BUDGET,
     Configuration,
@@ -85,12 +83,6 @@ class PseudoOrbit:
     @property
     def perturbation_count(self) -> int:
         return len(self.perturbed_cells)
-
-    def entry(self, g: GroupElement) -> Configuration:
-        return self.entries[self.space.geometry.position(g, self.radius)]
-
-    def entry_at(self, index: int) -> Configuration:
-        return self.entries[index]
 
 
 def _preserved_radius(modulus: int, inner_radius: int) -> int:
@@ -323,8 +315,50 @@ class WindowScanResult:
     witness: str
 
 
-def _flip_conclusion_fails(layer: int, epsilon: Fraction) -> bool:
-    return Fraction(1, 2 ** max(layer - 1, 0)) >= epsilon
+def _window_table(space: ShiftSpace, eta: Fraction, epsilon: Fraction,
+                  test_radius: int, frames_radius: int):
+    """The cover table that every separation-window routine reads.
+
+    Distances between two configurations on ball(test_radius), shifted or
+    not, depend only on their disagreement set D, a bitmask over ball
+    positions.  Ball order is sorted by layer, so the unshifted distance
+    reaches epsilon exactly when ``fails & lowbit(D)`` is nonzero.  Shifted
+    by a frame g, the pair reads x_{hg} for h in ball(test_radius - |g|), so
+    it is farther apart than eta exactly when D meets ``mask_g``, the
+    positions hg with 2^-max(|h|-1,0) > eta.
+
+    Returns ``fails`` and (|g|, mask_g) for g in ball(frames_radius) in ball
+    order, up to the deepest failing layer: callers only ask which frame
+    first meets a D whose lowest position p fails, and for eta < 1 frame p
+    does (h the identity) unless every frame is shallower than p anyway.
+    """
+    geo = space.geometry
+
+    def deepest(holds) -> int:
+        # values fall with the layer, so the layers that hold form a prefix
+        return sum(1 for layer in range(test_radius + 1)
+                   if holds(Fraction(1, 2 ** max(layer - 1, 0)))) - 1
+
+    fail_layer = deepest(lambda v: v >= epsilon)
+    reach = deepest(lambda v: v > eta)
+    if fail_layer < 0:
+        return 0, []
+    frames = []
+    for i, g in enumerate(geo.ball(min(frames_radius, fail_layer))):
+        lg = geo.layer_of_position(i)
+        r = min(test_radius - lg, reach)
+        cells = geo.right_translation(r, g, test_radius) if r >= 0 else ()
+        frames.append((lg, sum(1 << p for p in cells)))
+    return (1 << geo.ball_size(fail_layer)) - 1, frames
+
+
+def _separating_layer(frames: list[tuple[int, int]],
+                      disagree: int) -> Optional[int]:
+    return next((lg for lg, mask in frames if mask & disagree), None)
+
+
+def _disagreement(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    return sum(1 << i for i, (u, v) in enumerate(zip(x, y)) if u != v)
 
 
 def separation_window_flip_scan(space: ShiftSpace, eta: Fraction,
@@ -339,43 +373,21 @@ def separation_window_flip_scan(space: ShiftSpace, eta: Fraction,
     eta = Fraction(eta)
     epsilon = Fraction(epsilon)
     geo = space.geometry
-    ball = geo.ball(test_radius)
+    n = geo.ball_size(test_radius)
+    fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
     needed = 0
     witness = "all flip positions covered"
-    for p in ball:
-        lp = geo.word_length(p, test_radius)
-        if not _flip_conclusion_fails(lp, epsilon):
-            continue
-        cover = None
-        for g in geo.ball(min(max_window, test_radius)):
-            lg = geo.word_length(g, test_radius)
-            moved = p * ~g
-            lm = geo.word_length(moved, test_radius + max_window)
-            if lm is None or lm > test_radius - lg:
-                continue
-            if Fraction(1, 2 ** max(lm - 1, 0)) > eta:
-                cover = lg
-                break
+    for p in range(fails.bit_length()):
+        lp = geo.layer_of_position(p)
+        cover = _separating_layer(frames, 1 << p)
         if cover is None:
             return WindowScanResult(eta, epsilon, test_radius, "flip-scan",
-                                    None, len(ball),
-                                    f"uncovered flip at layer {lp}")
+                                    None, n, f"uncovered flip at layer {lp}")
         if cover > needed:
             needed = cover
             witness = f"binding flip at layer {lp}, covered at layer {cover}"
     return WindowScanResult(eta, epsilon, test_radius, "flip-scan", needed,
-                            len(ball), witness)
-
-
-def _pair_first_violation(x: Configuration, y: Configuration, eta: Fraction,
-                          max_window: int) -> Optional[int]:
-    geo = x.space.geometry
-    limit = min(max_window, x.radius)
-    for g in geo.ball(limit):
-        d = distance(shift(g, x), shift(g, y))
-        if (not d.marker) and d.value > eta:
-            return geo.word_length(g, limit)
-    return None
+                            n, witness)
 
 
 def separation_window_pair_scan(space: ShiftSpace, sft: SftSpec, eta: Fraction,
@@ -385,19 +397,19 @@ def separation_window_pair_scan(space: ShiftSpace, sft: SftSpec, eta: Fraction,
     """Literal all-pairs window search; exact but exponential in the ball size."""
     eta = Fraction(eta)
     epsilon = Fraction(epsilon)
-    configs = [Configuration(space, test_radius, cells)
-               for cells in enumerate_admissible(space, sft, test_radius,
-                                                 node_budget=node_budget)]
+    configs = list(enumerate_admissible(space, sft, test_radius,
+                                        node_budget=node_budget))
+    fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
     needed = 0
     pairs = 0
     witness = "no separating pair needed more"
     for i in range(len(configs)):
         for j in range(i + 1, len(configs)):
             pairs += 1
-            d = distance(configs[i], configs[j])
-            if not refutes(d, epsilon):
+            d = _disagreement(configs[i], configs[j])
+            if not fails & d & -d:
                 continue
-            first = _pair_first_violation(configs[i], configs[j], eta, max_window)
+            first = _separating_layer(frames, d)
             if first is None:
                 return WindowScanResult(eta, epsilon, test_radius, "pair-scan",
                                         None, pairs,
@@ -428,64 +440,36 @@ def separation_window_exhaustive_check(space: ShiftSpace, eta: Fraction,
                                        test_radius: int) -> WindowCheckResult:
     """Verify a separation window against every configuration pair at once.
 
-    Every distance between two configurations, shifted or not, depends only
-    on the set of positions where they disagree, never on the symbols or on
-    the cells they share.  Enumerating all nonempty disagreement subsets of
-    ball(test_radius) therefore checks every pair on an unconstrained space
-    while staying exponential in one ball size instead of two.  A subset
-    whose induced distance reaches epsilon must be pushed past eta by some
-    frame in ball(window); the first subset that is not refutes the window.
+    Every distance between two configurations depends only on their
+    disagreement set D, so checking every nonempty D over ball(test_radius)
+    checks every pair on an unconstrained space.  D refutes the window when
+    its distance reaches epsilon (its lowest position p fails) and no frame
+    in ball(window) pushes it past eta (it misses U, the union of the frame
+    masks).  Then {p} refutes too, so the refuting masks, read as numbers,
+    are those whose lowest bit lies in ``fails & ~U``, and the least is
+    1 << p for the lowest such p.  An in-order walk over the masks stops
+    there after 2**p of them with witness [p], or passes all 2**n - 1; those
+    counts are reported without the walk.
     """
     eta = Fraction(eta)
     epsilon = Fraction(epsilon)
-    geo = space.geometry
-    geo.ensure_radius(test_radius + window)
-    n = geo.ball_size(test_radius)
+    n = space.geometry.ball_size(test_radius)
     if n > 22:
         raise CapacityError(f"{n} positions means {2 ** n - 1} disagreement "
                             "subsets; refusing beyond 22")
-    positions = list(geo.ball(test_radius))
-    layers = [geo.word_length(p, test_radius) for p in positions]
-    # per frame, the shifted per-position distance value (None if the
-    # position falls outside the shifted configuration)
-    tables = []
-    for g in geo.ball(window):
-        lg = geo.word_length(g, window)
-        row = []
-        for p in positions:
-            lm = geo.word_length(p * ~g, test_radius + window)
-            if lm is None or lm > test_radius - lg:
-                row.append(None)
-            else:
-                row.append(Fraction(1, 2 ** max(lm - 1, 0)))
-        tables.append(row)
-    checked = 0
-    for mask in range(1, 1 << n):
-        checked += 1
-        # ball order is sorted by layer, so the lowest set bit is nearest
-        first = (mask & -mask).bit_length() - 1
-        if Fraction(1, 2 ** max(layers[first] - 1, 0)) < epsilon:
-            continue    # conclusion holds, nothing to cover
-        covered = False
-        for row in tables:
-            m = mask
-            while m:
-                idx = (m & -m).bit_length() - 1
-                val = row[idx]
-                if val is not None and val > eta:
-                    covered = True
-                    break
-                m &= m - 1
-            if covered:
-                break
-        if not covered:
-            bits = [i for i in range(n) if mask >> i & 1]
-            return WindowCheckResult(eta, epsilon, window, test_radius, checked,
-                                     False, "uncovered disagreement set at "
-                                     f"positions {bits}")
-    return WindowCheckResult(eta, epsilon, window, test_radius, checked, True,
-                             "every epsilon-separated pair is pushed past eta "
-                             f"inside ball({window})")
+    fails, frames = _window_table(space, eta, epsilon, test_radius, window)
+    covered = 0
+    for _, mask in frames:
+        covered |= mask
+    refuting = fails & ~covered
+    if refuting:
+        p = (refuting & -refuting).bit_length() - 1
+        return WindowCheckResult(eta, epsilon, window, test_radius, 2 ** p,
+                                 False, "uncovered disagreement set at "
+                                 f"positions {[p]}")
+    return WindowCheckResult(eta, epsilon, window, test_radius, 2 ** n - 1,
+                             True, "every epsilon-separated pair is pushed "
+                             f"past eta inside ball({window})")
 
 
 def separation_window_sampled(space: ShiftSpace, sft: SftSpec, eta: Fraction,
@@ -498,17 +482,18 @@ def separation_window_sampled(space: ShiftSpace, sft: SftSpec, eta: Fraction,
     """
     eta = Fraction(eta)
     epsilon = Fraction(epsilon)
+    fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
     needed = 0
     scanned = 0
     witness = "no sampled pair forced a larger window"
     for _ in range(samples):
         x = random_admissible(space, sft, test_radius, rng, node_budget=node_budget)
         y = random_admissible(space, sft, test_radius, rng, node_budget=node_budget)
-        d = distance(x, y)
-        if not refutes(d, epsilon):
+        d = _disagreement(x.cells, y.cells)
+        if not fails & d & -d:
             continue
         scanned += 1
-        first = _pair_first_violation(x, y, eta, max_window)
+        first = _separating_layer(frames, d)
         if first is None:
             return WindowScanResult(eta, epsilon, test_radius, "sampled-pairs",
                                     None, scanned, "sampled pair stayed within "

@@ -128,14 +128,6 @@ class Pattern:
         if len(self.cells) != expected:
             raise ValueError(f"pattern needs {expected} cells, got {len(self.cells)}")
 
-    @property
-    def support(self) -> tuple[GroupElement, ...]:
-        return self.space.geometry.ball(self.radius).elements
-
-    def labels(self) -> tuple[str, ...]:
-        syms = self.space.alphabet.symbols
-        return tuple(syms[c] for c in self.cells)
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -189,21 +181,9 @@ class DyadicDistance:
     def value(self) -> Fraction:
         return Fraction(1, 2 ** self.exponent)
 
-    def __le__(self, other) -> bool:
-        return self.value <= _as_fraction(other)
-
-    def __lt__(self, other) -> bool:
-        return self.value < _as_fraction(other)
-
     def __repr__(self) -> str:
         tag = " (indistinguishable)" if self.marker else ""
         return f"2^-{self.exponent}{tag}"
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, DyadicDistance):
-        return x.value
-    return Fraction(x)
 
 
 def refutes(d: DyadicDistance, threshold: Fraction) -> bool:
@@ -275,14 +255,6 @@ class SftSpec:
     @property
     def forbidden(self) -> frozenset[tuple[int, ...]]:
         return frozenset(c for c in self.all_window_cells() if c not in self.allowed)
-
-    def allowed_patterns(self) -> tuple[Pattern, ...]:
-        return tuple(Pattern(self.space, self.window_radius, c)
-                     for c in sorted(self.allowed))
-
-    def forbidden_patterns(self) -> tuple[Pattern, ...]:
-        return tuple(Pattern(self.space, self.window_radius, c)
-                     for c in sorted(self.forbidden))
 
 
 def sft_from_forbidden(space: ShiftSpace, window_radius: int,

@@ -314,6 +314,54 @@ def test_cli_capacity_refusal_is_exit_three(tmp_path, capsys):
     assert "capacity exceeded" in err
 
 
+def _assert_io_refusal(args, capsys, action, target):
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot {action} {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_unwritable_out_is_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", _trace_config())
+    target = tmp_path / "no-such-dir" / "report.json"
+    _assert_io_refusal(["run", path, "--out", str(target)], capsys,
+                       "write", target)
+
+
+def test_cli_unwritable_grid_csv_is_exit_two(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "grid.csv"
+    cfg = {"experiment": "toral-stability", "seed": 11,
+           "parameters": {"matrix": [[2, 1], [1, 1]], "amplitude": 1e-3,
+                          "window": 24, "grid_points": 16},
+           "output": {"grid_csv": str(target)}}
+    path = _write(tmp_path, "cfg.json", cfg)
+    _assert_io_refusal(["run", path], capsys, "write", target)
+
+
+def test_cli_unwritable_chain_csv_is_exit_two(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "chain.csv"
+    cfg = {"experiment": "cantor-trace", "seed": 2,
+           "parameters": {"system": "chain",
+                          "chain": {"kind": "odometer", "base": 2,
+                                    "depth": 4},
+                          "radius": 2, "modulus": 2},
+           "output": {"chain_csv": str(target)}}
+    path = _write(tmp_path, "cfg.json", cfg)
+    _assert_io_refusal(["run", path], capsys, "write", target)
+
+
+def test_cli_missing_chain_path_is_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing.csv"
+    cfg = {"experiment": "cantor-trace", "seed": 2,
+           "parameters": {"system": "chain",
+                          "chain": {"kind": "csv", "path": str(target)},
+                          "radius": 2, "modulus": 2}}
+    path = _write(tmp_path, "cfg.json", cfg)
+    _assert_io_refusal(["run", path], capsys, "read", target)
+
+
 def test_cli_module_entry_point(tmp_path):
     path = _write(tmp_path, "cfg.json", _trace_config())
     proc = subprocess.run([sys.executable, "-m", "shadowlab", "run", path],
@@ -343,7 +391,9 @@ def test_console_script_round_trip(tmp_path):
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "shadowlab"
+    scripts = project["scripts"]
     assert "shadowlab" in scripts
     path = _write(tmp_path, "cfg.json", _trace_config())
     proc = subprocess.run([sys.executable, "-c", _RUN_ENTRY_POINT,

@@ -5,18 +5,33 @@ from random import Random
 
 import pytest
 
-from shadowlab.groups import GroupGeometry, free_rank2_spec, integer_line_spec
+from shadowlab.groups import (
+    GroupGeometry,
+    free_rank2_spec,
+    heisenberg_spec,
+    integer_line_spec,
+    integer_plane_spec,
+)
 from shadowlab.shifts import (
     Configuration,
     ShiftSpace,
+    distance,
+    enumerate_admissible,
+    even_window_sft,
     full_shift,
     golden_mean_sft,
+    hard_square_sft,
     locally_admissible,
     one_forbidden_window_sft,
+    random_admissible,
+    refutes,
+    shift,
 )
 from shadowlab.shadowing import (
     PseudoOrbit,
     TracingPlan,
+    WindowCheckResult,
+    WindowScanResult,
     admissible_sets_agree,
     construct_trace,
     delta_profile,
@@ -184,3 +199,198 @@ def test_trace_checks_record_comparison_radii(golden):
         assert chk.comparison_radius == min(8 - chk.word_length,
                                             orb.inner_radius)
         assert chk.passed
+
+
+# Reference window routines: the literal definitions, read straight off
+# shifted distances and the full disagreement-set enumeration.  The library
+# reads one cover table instead; these oracles pin it to the definitions.
+
+def _ref_first_violation(x, y, eta, max_window):
+    """Layer of the first frame whose shifted pair is farther apart than eta."""
+    geo = x.space.geometry
+    limit = min(max_window, x.radius)
+    for g in geo.ball(limit):
+        d = distance(shift(g, x), shift(g, y))
+        if (not d.marker) and d.value > eta:
+            return geo.word_length(g, limit)
+    return None
+
+
+def _ref_flip_scan(space, eta, epsilon, test_radius, max_window):
+    geo = space.geometry
+    n = geo.ball_size(test_radius)
+    zero = Configuration(space, test_radius, (0,) * n)
+    needed = 0
+    witness = "all flip positions covered"
+    for p in range(n):
+        flip = Configuration(space, test_radius,
+                             tuple(int(i == p) for i in range(n)))
+        if not refutes(distance(zero, flip), epsilon):
+            continue
+        layer = geo.layer_of_position(p)
+        cover = _ref_first_violation(zero, flip, eta, max_window)
+        if cover is None:
+            return WindowScanResult(eta, epsilon, test_radius, "flip-scan",
+                                    None, n, f"uncovered flip at layer {layer}")
+        if cover > needed:
+            needed = cover
+            witness = f"binding flip at layer {layer}, covered at layer {cover}"
+    return WindowScanResult(eta, epsilon, test_radius, "flip-scan", needed, n,
+                            witness)
+
+
+def _ref_pair_scan(space, sft, eta, epsilon, test_radius, max_window):
+    configs = [Configuration(space, test_radius, cells)
+               for cells in enumerate_admissible(space, sft, test_radius)]
+    needed = 0
+    pairs = 0
+    witness = "no separating pair needed more"
+    for i in range(len(configs)):
+        for j in range(i + 1, len(configs)):
+            pairs += 1
+            if not refutes(distance(configs[i], configs[j]), epsilon):
+                continue
+            first = _ref_first_violation(configs[i], configs[j], eta,
+                                         max_window)
+            if first is None:
+                return WindowScanResult(eta, epsilon, test_radius, "pair-scan",
+                                        None, pairs,
+                                        f"pair {i},{j} agrees within eta "
+                                        f"through ball({max_window})")
+            if first > needed:
+                needed = first
+                witness = f"binding pair {i},{j} separated at layer {first}"
+    return WindowScanResult(eta, epsilon, test_radius, "pair-scan", needed,
+                            pairs, witness)
+
+
+def _ref_sampled(space, sft, eta, epsilon, test_radius, max_window, samples,
+                 rng):
+    needed = 0
+    scanned = 0
+    witness = "no sampled pair forced a larger window"
+    for _ in range(samples):
+        x = random_admissible(space, sft, test_radius, rng)
+        y = random_admissible(space, sft, test_radius, rng)
+        if not refutes(distance(x, y), epsilon):
+            continue
+        scanned += 1
+        first = _ref_first_violation(x, y, eta, max_window)
+        if first is None:
+            return WindowScanResult(eta, epsilon, test_radius, "sampled-pairs",
+                                    None, scanned, "sampled pair stayed within "
+                                    f"eta through ball({max_window})")
+        if first > needed:
+            needed = first
+            witness = f"sampled pair separated at layer {first}"
+    return WindowScanResult(eta, epsilon, test_radius, "sampled-pairs", needed,
+                            scanned, witness)
+
+
+def _ref_exhaustive(space, eta, epsilon, window, test_radius):
+    """Walk every nonempty disagreement set in increasing mask order."""
+    geo = space.geometry
+    n = geo.ball_size(test_radius)
+    layers = [geo.layer_of_position(i) for i in range(n)]
+    positions = list(geo.ball(test_radius))
+    # per frame and position: the distance a lone disagreement there shows
+    # after the shift, or None when the shift drops the position
+    tables = []
+    for g in geo.ball(window):
+        lg = geo.word_length(g, window)
+        row = []
+        for p in positions:
+            lm = geo.word_length(p * ~g, test_radius + window)
+            if lm is None or lm > test_radius - lg:
+                row.append(None)
+            else:
+                row.append(Fraction(1, 2 ** max(lm - 1, 0)))
+        tables.append(row)
+    fails = [Fraction(1, 2 ** max(layer - 1, 0)) >= epsilon for layer in layers]
+    checked = 0
+    for mask in range(1, 1 << n):
+        checked += 1
+        first = (mask & -mask).bit_length() - 1
+        if not fails[first]:
+            continue
+        bits = [i for i in range(n) if mask >> i & 1]
+        if not any(row[i] is not None and row[i] > eta
+                   for row in tables for i in bits):
+            return WindowCheckResult(eta, epsilon, window, test_radius, checked,
+                                     False, "uncovered disagreement set at "
+                                     f"positions {bits}")
+    return WindowCheckResult(eta, epsilon, window, test_radius, checked, True,
+                             "every epsilon-separated pair is pushed past eta "
+                             f"inside ball({window})")
+
+
+_GROUP_SPECS = {
+    "line": integer_line_spec,
+    "plane": integer_plane_spec,
+    "free": free_rank2_spec,
+    "heisenberg": heisenberg_spec,
+}
+_ETAS = [Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 3),
+         Fraction(1, 4), Fraction(1, 8)]
+_EPSILONS = [Fraction(1, 2 ** k) for k in range(5)]
+
+
+def _small_radii(space, cells):
+    """Every radius whose ball has at most ``cells`` positions."""
+    radius = 0
+    while space.geometry.ball_size(radius) <= cells:
+        yield radius
+        radius += 1
+
+
+@pytest.mark.parametrize("group", sorted(_GROUP_SPECS))
+def test_flip_scan_and_exhaustive_check_match_the_definitions(group):
+    space = ShiftSpace(GroupGeometry(_GROUP_SPECS[group]()))
+    refuted = 0
+    for radius in _small_radii(space, 16):
+        # a 2^n walk per case: the largest balls get a corner of the grid
+        full = space.geometry.ball_size(radius) <= 7
+        etas = _ETAS if full else _ETAS[1::3]
+        eps = _EPSILONS if full else _EPSILONS[1::2]
+        for eta in etas:
+            for epsilon in eps:
+                for w in range(radius + 2):
+                    assert (separation_window_flip_scan(space, eta, epsilon,
+                                                        radius, w)
+                            == _ref_flip_scan(space, eta, epsilon, radius, w))
+                    check = separation_window_exhaustive_check(
+                        space, eta, epsilon, w, radius)
+                    assert check == _ref_exhaustive(space, eta, epsilon, w,
+                                                    radius)
+                    refuted += not check.ok
+    assert refuted  # the 2**p count and its witness were exercised
+
+
+def _window_sfts(space, group):
+    extra = {"line": [golden_mean_sft, even_window_sft],
+             "plane": [hard_square_sft]}.get(group, [one_forbidden_window_sft])
+    return [full_shift(space)] + [build(space) for build in extra]
+
+
+@pytest.mark.parametrize("group", sorted(_GROUP_SPECS))
+def test_pair_and_sampled_scans_match_the_definitions(group):
+    space = ShiftSpace(GroupGeometry(_GROUP_SPECS[group]()))
+    for sft in _window_sfts(space, group):
+        for radius in _small_radii(space, 16):
+            # the literal pair scan is quadratic in 2^n: balls of <= 5 cells
+            pairs = space.geometry.ball_size(radius) <= 5
+            for eta in [Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                        Fraction(1, 4)]:
+                for epsilon in _EPSILONS[::2]:
+                    for w in range(radius + 2):
+                        if pairs:
+                            assert (separation_window_pair_scan(
+                                        space, sft, eta, epsilon, radius, w)
+                                    == _ref_pair_scan(space, sft, eta, epsilon,
+                                                      radius, w))
+                        seed = 100 * radius + w
+                        assert (separation_window_sampled(
+                                    space, sft, eta, epsilon, radius, w, 12,
+                                    Random(seed))
+                                == _ref_sampled(space, sft, eta, epsilon,
+                                                radius, w, 12, Random(seed)))
