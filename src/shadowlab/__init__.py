@@ -9,7 +9,6 @@ harness with a CLI (``harness``, ``cli``).
 
 from .errors import CapacityError, ConfigError, GenerationError, ShadowlabError
 from .groups import (
-    Ball,
     CyclicGroup,
     FreeGroup,
     GroupElement,
@@ -17,14 +16,12 @@ from .groups import (
     GroupSpec,
     HeisenbergGroup,
     IntegerLattice,
-    ball,
     free_rank2_spec,
     heisenberg_spec,
     identity,
     integer_line_spec,
     integer_plane_spec,
     rewrite_generator,
-    word_length,
 )
 from .shifts import (
     BINARY,

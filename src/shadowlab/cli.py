@@ -5,7 +5,9 @@ experiment ran but a property failed (including generation failures, which
 are negative results, not crashes); 2 the config was rejected, or a file it
 involves could not be read or written (the config itself, a chain CSV it
 reads, a CSV side file or the ``--out`` report), each reported on one line;
-3 a capacity budget was exceeded before the experiment could finish.
+3 a capacity budget was exceeded before the experiment could finish,
+including a torus backward iteration that does not converge within its
+iteration cap, reported on one line.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ def _load_config(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot read {path}: "
+                          f"{exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
 

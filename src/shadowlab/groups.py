@@ -20,12 +20,13 @@ layer, each layer sorted by the family's normal-form sort key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import CapacityError
 
-DEFAULT_ELEMENT_BUDGET = 1_000_000
+ELEMENT_BUDGET = 1_000_000
+SPAN_CHECK_RADIUS = 8
 
 _FREE_LETTERS = "xyzw"
 
@@ -285,16 +286,13 @@ def _symmetrize(family, generators: Iterable[GroupElement]) -> tuple[GroupElemen
 class GroupSpec:
     """A group family together with a symmetric generating set.
 
-    Generators are closed under inverses on construction; ``symmetric`` records
-    that this closure has been applied.  A custom set must reach every
-    canonical generator within ``span_check_radius``, otherwise it cannot be a
-    generating set at desk scale and is rejected.
+    Generators are closed under inverses on construction.  A custom set must
+    reach every canonical generator within ``SPAN_CHECK_RADIUS``, otherwise it
+    cannot be a generating set at desk scale and is rejected.
     """
 
     family: object
     generators: tuple[GroupElement, ...] = ()
-    symmetric: bool = field(default=True)
-    span_check_radius: int = 8
 
     def __post_init__(self) -> None:
         if not self.generators:
@@ -303,7 +301,6 @@ class GroupSpec:
         else:
             gens = _symmetrize(self.family, self.generators)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "symmetric", True)
         self._check_spanning()
 
     def _check_spanning(self) -> None:
@@ -314,7 +311,7 @@ class GroupSpec:
             return
         reached = {identity(self.family)}
         frontier = [identity(self.family)]
-        for _ in range(self.span_check_radius):
+        for _ in range(SPAN_CHECK_RADIUS):
             nxt = []
             for h in frontier:
                 for a in self.generators:
@@ -326,31 +323,14 @@ class GroupSpec:
             missing -= reached
             if not missing:
                 return
-            if len(reached) > DEFAULT_ELEMENT_BUDGET:
+            if len(reached) > ELEMENT_BUDGET:
                 break
         raise ValueError(
             f"generators {self.generators} do not reach {sorted(missing, key=lambda g: self.family.sort_key(g.payload))} "
-            f"within radius {self.span_check_radius}; not accepted as a generating set")
+            f"within radius {SPAN_CHECK_RADIUS}; not accepted as a generating set")
 
     def identity(self) -> GroupElement:
         return identity(self.family)
-
-
-@dataclass(frozen=True)
-class Ball:
-    """The word-metric ball of a given radius, in deterministic BFS order."""
-
-    radius: int
-    elements: tuple[GroupElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i: int) -> GroupElement:
-        return self.elements[i]
 
 
 class GroupGeometry:
@@ -363,9 +343,8 @@ class GroupGeometry:
     reuses them heavily.
     """
 
-    def __init__(self, spec: GroupSpec, element_budget: int = DEFAULT_ELEMENT_BUDGET):
+    def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self.element_budget = element_budget
         self._elements: list[GroupElement] = [spec.identity()]
         self._layer: dict[GroupElement, int] = {spec.identity(): 0}
         self._index: dict[GroupElement, int] = {spec.identity(): 0}
@@ -394,10 +373,10 @@ class GroupGeometry:
                     fresh[g] = None
         layer = sorted(fresh, key=lambda g: key(g.payload))
         radius = len(self._ball_sizes)
-        if len(self._elements) + len(layer) > self.element_budget:
+        if len(self._elements) + len(layer) > ELEMENT_BUDGET:
             raise CapacityError(
                 f"ball({radius}) would exceed the element budget "
-                f"({self.element_budget}) for {self.family.name}")
+                f"({ELEMENT_BUDGET}) for {self.family.name}")
         for g in layer:
             self._layer[g] = radius
             self._index[g] = len(self._elements)
@@ -411,11 +390,12 @@ class GroupGeometry:
         while self.max_radius_built() < k:
             self._grow_one_layer()
 
-    def ball(self, k: int) -> Ball:
+    def ball(self, k: int) -> tuple[GroupElement, ...]:
+        """The word-metric ball of radius k, in deterministic BFS order."""
         if k < 0:
             raise ValueError("radius must be nonnegative")
         self.ensure_radius(k)
-        return Ball(k, tuple(self._elements[: self._ball_sizes[k]]))
+        return tuple(self._elements[: self._ball_sizes[k]])
 
     def ball_size(self, k: int) -> int:
         self.ensure_radius(k)
@@ -468,18 +448,6 @@ class GroupGeometry:
         return table
 
 
-def word_length(g: GroupElement, spec: GroupSpec, max_radius: int,
-                geometry: Optional[GroupGeometry] = None) -> Optional[int]:
-    geo = geometry if geometry is not None else GroupGeometry(spec)
-    return geo.word_length(g, max_radius)
-
-
-def ball(spec: GroupSpec, k: int,
-         geometry: Optional[GroupGeometry] = None) -> Ball:
-    geo = geometry if geometry is not None else GroupGeometry(spec)
-    return geo.ball(k)
-
-
 def rewrite_generator(a: GroupElement, target_spec: GroupSpec,
                       max_radius: int) -> Optional[list[GroupElement]]:
     """A geodesic word over target_spec's generators whose product is ``a``.
@@ -496,7 +464,6 @@ def rewrite_generator(a: GroupElement, target_spec: GroupSpec,
     parent: dict[GroupElement, tuple[GroupElement, GroupElement]] = {start: None}
     frontier = [start]
     key = target_spec.family.sort_key
-    budget = DEFAULT_ELEMENT_BUDGET
     for _ in range(max_radius):
         fresh: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
         for h in frontier:
@@ -506,7 +473,7 @@ def rewrite_generator(a: GroupElement, target_spec: GroupSpec,
                     fresh[g] = (h, gen)
         if not fresh:
             return None
-        if len(parent) + len(fresh) > budget:
+        if len(parent) + len(fresh) > ELEMENT_BUDGET:
             raise CapacityError("rewrite search exceeded the element budget")
         layer = sorted(fresh, key=lambda g: key(g.payload))
         for g in layer:

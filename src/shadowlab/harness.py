@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -60,14 +60,11 @@ from .shifts import (
     one_forbidden_window_sft,
 )
 from .torus import (
-    PerturbedMap,
     as_int_matrix,
-    conjugacy_points,
     expansiveness_certificate,
     generating_set_transfer,
     random_displacement,
     random_grid,
-    spectral_splitting,
     stability_report,
 )
 
@@ -404,7 +401,7 @@ def _run_toral_stability(params: dict, rng: Random, output: dict):
     disp = random_displacement(len(A), params["amplitude"], rng,
                                terms=params.get("terms", 3))
     pts = random_grid(len(A), params["grid_points"], rng)
-    rep = stability_report(A, disp, params["window"], pts)
+    rep, h_pts = stability_report(A, disp, params["window"], pts)
     residual_tol = params.get("residual_tolerance", 1e-9)
     defect_tol = params.get("defect_tolerance", 1e-9)
     results["stability"] = rep
@@ -416,9 +413,6 @@ def _run_toral_stability(params: dict, rng: Random, output: dict):
               and rep.identity_exact in (None, True))
     grid_path = output.get("grid_csv")
     if grid_path:
-        pmap = PerturbedMap(A, disp)
-        splitting = spectral_splitting(A)
-        h_pts, _ = conjugacy_points(A, pmap, splitting, pts, params["window"])
         n = len(A)
         with _side_file("write", grid_path), \
                 open(grid_path, "w", newline="") as fh:

@@ -26,6 +26,7 @@ import csv
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Iterable, Optional
 
@@ -38,7 +39,8 @@ from .groups import (
     integer_line_spec,
     rewrite_generator,
 )
-from .shifts import Configuration, DyadicDistance
+from .shadowing import step_distances, trace_distances
+from .shifts import DyadicDistance, refutes
 
 _WORD_SEARCH_RADIUS = 32
 
@@ -154,20 +156,14 @@ class ProfinitePoint:
                 raise ValueError(f"path breaks refinement at level {n}")
 
 
-def act_generator(chain: QuotientChain, a: GroupElement,
-                  x: ProfinitePoint) -> ProfinitePoint:
-    tables = chain.tables[a]
-    return ProfinitePoint(chain, tuple(tables[n][c]
-                                       for n, c in enumerate(x.path)))
-
-
 def act_point(chain: QuotientChain, g: GroupElement,
               x: ProfinitePoint) -> ProfinitePoint:
     """Left action of an arbitrary element, composed along a geodesic word."""
-    out = x
+    path = x.path
     for gen in reversed(chain.word_for(g)):
-        out = act_generator(chain, gen, out)
-    return out
+        tables = chain.tables[gen]
+        path = tuple(tables[n][c] for n, c in enumerate(path))
+    return ProfinitePoint(chain, path)
 
 
 def level_distance(x: ProfinitePoint, y: ProfinitePoint) -> DyadicDistance:
@@ -320,7 +316,8 @@ def chain_trace_experiment(chain: QuotientChain, radius: int, modulus: int,
 
     Entries keep the orbit's path through level m+2 and re-walk deeper
     levels at random.  The step tolerance 2^-(m+1) and tracing tolerance
-    2^-m are then checked, not assumed; the trace is the identity entry and
+    2^-m are then checked, not assumed, by the step check and trace
+    comparison that shift fields use; the trace is the identity entry and
     its residuals are verified over the whole index ball.
     """
     if modulus < 0:
@@ -342,33 +339,18 @@ def chain_trace_experiment(chain: QuotientChain, radius: int, modulus: int,
         perturbed += sum(1 for n in range(keep + 1, chain.depth + 1)
                          if entry.path[n] != exact.path[n])
         entries.append(entry)
-    index = {g: i for i, g in enumerate(ball)}
-    step_dists = []
-    step_ok = True
-    for g in ball:
-        for a in chain.spec.generators:
-            ag = a * g
-            target = index.get(ag)
-            if target is None:
-                continue
-            d = level_distance(act_generator(chain, a, entries[index[g]]),
-                               entries[target])
-            step_dists.append(d)
-            if d.value >= delta and not d.marker:
-                step_ok = False
-    trace = entries[0]
-    residuals = []
-    trace_ok = True
-    for g in ball:
-        d = level_distance(act_point(chain, g, trace), entries[index[g]])
-        residuals.append(d)
-        if d.value >= epsilon and not d.marker:
-            trace_ok = False
+    act = partial(act_point, chain)
+    steps = step_distances(act, level_distance, ball, entries,
+                           chain.spec.generators)
+    residuals = tuple(trace_distances(act, level_distance, ball, entries[0],
+                                      entries))
+    step_ok = not any(refutes(d, delta) for d in steps)
+    trace_ok = not any(refutes(d, epsilon) for d in residuals)
     if not step_ok:
         raise GenerationError("chain step field violated its own tolerance; "
                               "level bookkeeping is broken")
     return ChainTraceReport(radius, modulus, keep, delta, epsilon, len(ball),
-                            perturbed, step_ok, _worst(step_dists), trace_ok,
+                            perturbed, step_ok, _worst(steps), trace_ok,
                             _worst(residuals))
 
 
@@ -396,19 +378,6 @@ def chain_modulus_certificate(chain: QuotientChain, radius: int, modulus: int,
                               modulus,
                               f"{trials} randomized fields all traced with "
                               f"{modulus + 2} preserved levels")
-
-
-def enumeration_distance(x: Configuration, y: Configuration) -> Fraction:
-    """Weighted-sum metric over the ball enumeration: sum of 2^-i over
-    disagreements.  Truncated configurations agree on the first k+1
-    enumerated cells exactly when this value is below 2^-k."""
-    if x.space != y.space or x.radius != y.radius:
-        raise ValueError("configurations are not comparable")
-    total = Fraction(0)
-    for i, (u, v) in enumerate(zip(x.cells, y.cells)):
-        if u != v:
-            total += Fraction(1, 2 ** i)
-    return total
 
 
 # --- the counterweight: a rotation with no cylinder structure -------------

@@ -17,14 +17,20 @@ Radius bookkeeping, fixed once and used throughout:
   * tracing tolerance epsilon is checked at comparison radius
     min(R - |g|, R_in); a definite mismatch at or above epsilon refutes,
     a truncation marker never does.
+
+The step check and the trace comparison are written once, for any action
+``act(a, x)`` and metric ``distance(x, y)``: shift fields use ``shift`` and
+the common-ball ``distance``, quotient chains their levelwise action and
+``level_distance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import CapacityError, GenerationError
 from .shifts import (
@@ -40,7 +46,6 @@ from .shifts import (
     random_admissible,
     refutes,
     shift,
-    sft_from_forbidden,
 )
 
 
@@ -67,6 +72,30 @@ def potp_modulus(window_radius: int, epsilon: Fraction) -> TracingPlan:
     return TracingPlan(window_radius, Fraction(epsilon), m, Fraction(1, 2 ** (m + 1)))
 
 
+def step_distances(act: Callable, distance: Callable, ball: Sequence,
+                   entries: Sequence, generators: Sequence) -> tuple:
+    """The step faces d(a . x_g, x_{ag}) of a field indexed by ``ball``.
+
+    One face per element g and generator a with ag indexed too, in ball
+    order and then generator order.
+    """
+    index = {g: i for i, g in enumerate(ball)}
+    faces = []
+    for g, x in zip(ball, entries):
+        for a in generators:
+            j = index.get(a * g)
+            if j is not None:
+                faces.append(distance(act(a, x), entries[j]))
+    return tuple(faces)
+
+
+def trace_distances(act: Callable, distance: Callable, ball: Sequence,
+                    trace, entries: Sequence):
+    """The residuals d(g . trace, x_g) over ``ball``, lazily and in ball
+    order, so a scan can stop at the first refuting frame."""
+    return (distance(act(g, trace), entries[i]) for i, g in enumerate(ball))
+
+
 @dataclass(frozen=True)
 class PseudoOrbit:
     """A delta step field: one inner configuration per element of ball(radius)."""
@@ -84,42 +113,27 @@ class PseudoOrbit:
     def perturbation_count(self) -> int:
         return len(self.perturbed_cells)
 
-
-def _preserved_radius(modulus: int, inner_radius: int) -> int:
-    return min(modulus + 3, inner_radius)
+    @cached_property
+    def step_profile(self) -> tuple[bool, Fraction, int]:
+        """(holds, worst definite face value, definite face count) of the
+        step check, computed once per field."""
+        faces = step_distances(shift, distance,
+                               self.space.geometry.ball(self.radius),
+                               self.entries, self.space.spec.generators)
+        definite = [d.value for d in faces if not d.marker]
+        holds = not any(refutes(d, self.delta) for d in faces)
+        return holds, max(definite, default=Fraction(0)), len(definite)
 
 
 def delta_profile(orbit: PseudoOrbit) -> tuple[bool, Fraction, int]:
     """Check the step condition over every generator and indexed element.
 
     Returns (holds, worst definite face value, definite comparison count).
-    A marker face always sits strictly below delta here because the inner
-    radius is at least m+2.
+    A shifted entry is compared with its target on their common ball, and
+    a marker face never refutes.  The profile is the field's own cached
+    one, so the check runs once per field however often it is asked.
     """
-    geo = orbit.space.geometry
-    ballR = geo.ball(orbit.radius)
-    worst = Fraction(0)
-    definite = 0
-    holds = True
-    gens = orbit.space.spec.generators
-    for gi, g in enumerate(ballR):
-        for a in gens:
-            ag = a * g
-            pos = None
-            if geo.word_length(ag, orbit.radius) is not None:
-                pos = geo.position(ag, orbit.radius)
-            if pos is None:
-                continue
-            stepped = shift(a, orbit.entries[gi])
-            target = orbit.entries[pos].restrict(orbit.inner_radius - 1)
-            d = distance(stepped, target)
-            if not d.marker:
-                definite += 1
-                if d.value > worst:
-                    worst = d.value
-            if d.value >= orbit.delta:
-                holds = False
-    return holds, worst, definite
+    return orbit.step_profile
 
 
 def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
@@ -143,10 +157,9 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
     if r_in < plan.modulus + 2:
         raise ValueError("inner radius must be at least m+2 to keep the step "
                          "condition certifiable")
-    preserved = _preserved_radius(plan.modulus, r_in)
     base = random_admissible(space, sft, radius + r_in, rng, node_budget=node_budget)
     seeds = [rng.getrandbits(64) for _ in range(geo.ball_size(radius))]
-    kept = geo.ball_size(preserved)
+    kept = geo.ball_size(min(plan.modulus + 3, r_in))  # the preserved layers
     inner_size = geo.ball_size(r_in)
     entries = []
     perturbed = []
@@ -225,18 +238,16 @@ def verify_trace(orbit: PseudoOrbit, trace: Configuration, plan: TracingPlan,
         scan_radius = max(orbit.radius - plan.modulus, 0)
     if scan_radius > orbit.radius:
         raise ValueError("scan radius cannot exceed the field radius")
+    faces = trace_distances(shift, distance, geo.ball(scan_radius), trace,
+                            orbit.entries)
     checks = []
-    all_pass = True
-    for gi, g in enumerate(geo.ball(scan_radius)):
-        length = geo.word_length(g, scan_radius)
+    for gi, d in enumerate(faces):
+        length = geo.layer_of_position(gi)
         c = min(orbit.radius - length, orbit.inner_radius)
-        d = distance(shift(g, trace).restrict(c), orbit.entries[gi].restrict(c))
-        ok = not refutes(d, plan.epsilon)
-        all_pass = all_pass and ok
-        checks.append(TraceCheck(gi, length, c, d, ok))
+        checks.append(TraceCheck(gi, length, c, d, not refutes(d, plan.epsilon)))
     admissible = locally_admissible(trace, orbit.sft)
     return TraceResult(trace, scan_radius, tuple(checks), admissible,
-                       all_pass and admissible)
+                       all(c.passed for c in checks) and admissible)
 
 
 @dataclass(frozen=True)
@@ -272,11 +283,9 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
     if scan_radius is None:
         scan_radius = max(orbit.radius - plan.modulus, 0)
     cap = comparison_cap if comparison_cap is not None else plan.modulus
-    frames = []
-    for gi, g in enumerate(geo.ball(scan_radius)):
-        length = geo.word_length(g, scan_radius)
-        c = min(orbit.radius - length, orbit.inner_radius, cap)
-        frames.append((gi, g, c))
+    ball = geo.ball(scan_radius)
+    # on the common ball, capping the targets caps every comparison
+    targets = [x.restrict(min(orbit.inner_radius, cap)) for x in orbit.entries]
     core_size = geo.ball_size(min(plan.modulus, orbit.radius))
     passers = []
     scanned = 0
@@ -284,13 +293,8 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
                                       node_budget=node_budget):
         scanned += 1
         y = Configuration(space, orbit.radius, cells)
-        ok = True
-        for gi, g, c in frames:
-            d = distance(shift(g, y).restrict(c), orbit.entries[gi].restrict(c))
-            if refutes(d, plan.epsilon):
-                ok = False
-                break
-        if ok:
+        if not any(refutes(d, plan.epsilon)
+                   for d in trace_distances(shift, distance, ball, y, targets)):
             passers.append(y)
     cores = {y.cells[:core_size] for y in passers}
     samples = tuple(y.serialize() for y in passers[:sample_limit])

@@ -10,6 +10,8 @@ and shrinks the radius by the word length of g.  The metric is 2^{-k} where k
 is the largest j with agreement on ball(j); mismatch anywhere in ball(1) gives
 distance 1, and full agreement at truncation yields an explicit
 "indistinguishable" marker of value 2^{-(radius+1)} rather than a claim of 0.
+Configurations on different radii are compared on their common ball, the
+smaller of the two.
 
 Local admissibility quantifies windows over every position whose whole window
 fits in the ball.  Global admissibility is undecidable for general groups, so
@@ -195,22 +197,18 @@ def refutes(d: DyadicDistance, threshold: Fraction) -> bool:
     return (not d.marker) and d.value >= threshold
 
 
-def _require_comparable(x: Configuration, y: Configuration) -> None:
+def distance(x: Configuration, y: Configuration) -> DyadicDistance:
+    """2^{-k} with k the largest radius of full agreement on the common ball
+    ball(min(x.radius, y.radius)); marker at truncation."""
     if x.space != y.space:
         raise ValueError("configurations live on different shift spaces")
-    if x.radius != y.radius:
-        raise ValueError(f"radius mismatch: {x.radius} vs {y.radius}")
-
-
-def distance(x: Configuration, y: Configuration) -> DyadicDistance:
-    """2^{-k} with k the largest radius of full agreement; marker at truncation."""
-    _require_comparable(x, y)
     geo = x.space.geometry
+    # ball(r) is a prefix of every larger ball, so zip stops at the common one
     for i, (u, v) in enumerate(zip(x.cells, y.cells)):
         if u != v:
             layer = geo.layer_of_position(i)
             return DyadicDistance(max(layer - 1, 0), False)
-    return DyadicDistance(x.radius + 1, True)
+    return DyadicDistance(min(x.radius, y.radius) + 1, True)
 
 
 def shift(g: GroupElement, x: Configuration) -> Configuration:
@@ -271,10 +269,6 @@ def sft_from_forbidden(space: ShiftSpace, window_radius: int,
     allowed = frozenset(c for c in itertools.product(range(n), repeat=size)
                         if c not in bad)
     return SftSpec(space, window_radius, allowed)
-
-
-def forbidden_from_sft(sft: SftSpec) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(sft.forbidden))
 
 
 def full_shift(space: ShiftSpace) -> SftSpec:

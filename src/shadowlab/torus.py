@@ -19,6 +19,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import schur
 
+from .errors import CapacityError
+
 IntMatrix = tuple[tuple[int, ...], ...]
 
 CAT_MATRIX: IntMatrix = ((2, 1), (1, 1))
@@ -40,10 +42,6 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     n = len(A)
     return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n))
                        for j in range(n)) for i in range(n))
-
-
-def mat_vec(A: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A)))
 
 
 def mat_det(A: IntMatrix) -> int:
@@ -309,16 +307,25 @@ class PerturbedMap:
 
     def backward(self, pts: np.ndarray, tol: float = 1e-13,
                  max_iter: int = 500) -> np.ndarray:
-        """Unique preimage via x <- A^-1 (z - p(x)); converges by contraction."""
+        """Unique preimage via x <- A^-1 (z - p(x)); converges by contraction.
+
+        Raises CapacityError when ``max_iter`` steps do not bring the step
+        size below ``tol``, as happens in floating point once the iterates
+        are large enough that ``tol`` is below their resolution.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         inv = np.array(mat_inverse_unimodular(self.matrix), dtype=float)
         x = pts @ inv.T
+        step = math.inf
         for _ in range(max_iter):
             nxt = (pts - self.displacement(x)) @ inv.T
-            if np.max(np.abs(nxt - x)) < tol:
+            step = np.max(np.abs(nxt - x))
+            if step < tol:
                 return nxt % 1.0
             x = nxt
-        raise RuntimeError("inverse iteration failed to converge")
+        raise CapacityError(f"backward iteration did not converge within "
+                            f"max_iter={max_iter} steps; last step size "
+                            f"{step:.3e}, tolerance {tol:.0e}")
 
 
 def correct_segment(A: IntMatrix, splitting: SpectralSplitting,
@@ -427,13 +434,14 @@ def lattice_grid(dimension: int, per_side: int) -> np.ndarray:
 
 def stability_report(A: IntMatrix, displacement: FourierDisplacement,
                      window: int, pts: np.ndarray,
-                     collision_resolution: float = 1e-6) -> StabilityReport:
+                     collision_resolution: float = 1e-6
+                     ) -> tuple[StabilityReport, np.ndarray]:
     """End-to-end topological stability measurement for one automorphism.
 
     Builds the tracing map h from perturbed segments of length 2*window+1,
     then reports how far h moves points, how close h is to intertwining the
     perturbed map with the linear one, and whether well-separated points
-    ever collide under h.
+    ever collide under h.  Returns the report and the points h(pts).
     """
     pmap = PerturbedMap(A, displacement)
     splitting = spectral_splitting(A)
@@ -458,7 +466,8 @@ def stability_report(A: IntMatrix, displacement: FourierDisplacement,
         identity_exact = bool(np.array_equal(h_pts, pts % 1.0))
     return StabilityReport(window, int(pts.shape[0]), float(delta),
                            float(constant), float(max(residual, residual2)),
-                           sup_disp, defect, within, collisions, identity_exact)
+                           sup_disp, defect, within, collisions,
+                           identity_exact), h_pts
 
 
 def commuting_action(matrices, labels: Optional[tuple[str, ...]] = None):

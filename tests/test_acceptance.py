@@ -194,7 +194,7 @@ def test_cat_map_conjugacy_stays_within_the_linear_bound():
     started = time.monotonic()
     grid = lattice_grid(2, 64)
     disp = random_displacement(2, 1e-3, Random(606))
-    report = stability_report(CAT, disp, 30, grid)
+    report, _ = stability_report(CAT, disp, 30, grid)
     assert abs(report.tracking_constant - 3.2360679) < 1e-3
     assert report.sup_displacement <= 4e-3  # constant * amplitude, 1.25 slack
     assert report.displacement_within_bound
@@ -202,8 +202,8 @@ def test_cat_map_conjugacy_stays_within_the_linear_bound():
     assert report.orbit_residual <= 1e-9
     assert report.collisions == 0
 
-    frozen = stability_report(CAT, random_displacement(2, 0.0, Random(607)),
-                              30, grid)
+    frozen, _ = stability_report(CAT, random_displacement(2, 0.0, Random(607)),
+                                 30, grid)
     assert frozen.identity_exact is True
     assert frozen.sup_displacement == 0.0
     elapsed = time.monotonic() - started

@@ -3,7 +3,11 @@
 Each config runs through ``shadowlab run --out`` and the digest of the
 written file (``json.dumps(report, indent=2, sort_keys=True) + "\\n"``) must
 match.  The configs are the README examples plus one expansiveness-window
-config per method on the line, the plane and the free group.  A refactor
+config per method on the line, the plane and the free group, and the
+tracing pipeline: sft-trace fields in every generation mode on the line,
+the plane, the free group and the Heisenberg group (one with the uniqueness
+scan), and single-trial quotient-chain traces, whose reports carry the
+worst step and residual faces.  A refactor
 that is meant to keep reports byte for byte must keep every digest here;
 an intended change of report bytes updates the digest and says so.
 
@@ -105,7 +109,58 @@ WINDOW_CONFIGS = {
         "84e66026473e1354a797beb366806153b0cefa152568eafedf6b7009bb665350"),
 }
 
-GOLDEN = {**README_CONFIGS, **WINDOW_CONFIGS}
+def _field(seed, **params):
+    return {"experiment": "sft-trace", "seed": seed, "parameters": params}
+
+
+def _chain(seed, chain, radius, modulus):
+    return {"experiment": "cantor-trace", "seed": seed,
+            "parameters": {"system": "chain", "chain": chain,
+                           "radius": radius, "modulus": modulus,
+                           "trials": 1}}
+
+
+PIPELINE_CONFIGS = {
+    "field-line-perturbed": (
+        _field(5, group="integer-line", sft="golden-mean", radius=6,
+               epsilon_exponent=3, inner_radius=9, scan_radius=6),
+        "2163c32713a57cd89eef511e0259dc79fb30dc39ed0017d8373c7b5f1ef9319d"),
+    "field-plane-perturbed": (
+        _field(2, group="integer-plane", sft="hard-square", radius=4,
+               epsilon_exponent=2, inner_radius=7, scan_radius=3),
+        "f0cb45524d9c892d49bfcad674988ad12c42a072b87441a1a077544cd1e9452b"),
+    "field-free-perturbed": (
+        _field(4, group="free-rank-2", sft="one-forbidden-window", radius=1,
+               epsilon_exponent=2, modulus=2, inner_radius=6),
+        "77111c0fb38a928bbb1ca7e6501931581d4a86f1147b59cd1f8d5a12e80dd229"),
+    "field-line-flip": (
+        _field(10, group="integer-line", sft="golden-mean", radius=6,
+               epsilon_exponent=3, mode="random_flip", inner_radius=9,
+               flip_attempts=24),
+        "994d133d05b0c7d00df756d24fc1d7c4137174002834ef3cc118bed00342061e"),
+    "field-line-exact": (
+        _field(6, group="integer-line", sft="even-window", radius=7,
+               epsilon_exponent=3, mode="exact_orbit"),
+        "b79a36ec04a837cc4452343426f6f1e3994ff768f4f8ad1313898a7d40f8cfdf"),
+    "field-line-flip-uniqueness": (
+        _field(9, group="integer-line", sft="full-shift", radius=4,
+               epsilon_exponent=3, modulus=2, mode="random_flip",
+               inner_radius=5, flip_attempts=8,
+               uniqueness={"eta": "1/2", "scan_radius": 4}),
+        "d73d9a1c1606c1fd46d99f7b264dad54ed692a813f9000450960a2d5fec05d9a"),
+    "field-heisenberg": (
+        _field(8, group="heisenberg", sft="full-shift", radius=2,
+               epsilon_exponent=1, inner_radius=6),
+        "1966d7abb76ccefece13ca016b774e335cbfb176ccc7d4d564fb75d8840f3849"),
+    "chain-odometer-trial": (
+        _chain(12, {"kind": "odometer", "base": 3, "depth": 9}, 4, 4),
+        "eefd8ee34d0ca3200b6c6d3f523a6cebdee88f8fc95d4d2f73484ae43043f404"),
+    "chain-plane-lattice-trial": (
+        _chain(13, {"kind": "plane-lattice", "depth": 5}, 3, 1),
+        "da5d75009e1514efb7ced6d6fe91820528e6bd34ced50d7db15a29ac2e942498"),
+}
+
+GOLDEN = {**README_CONFIGS, **WINDOW_CONFIGS, **PIPELINE_CONFIGS}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

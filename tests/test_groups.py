@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from shadowlab.groups import (
     CyclicGroup,
-    FreeGroup,
     GroupElement,
     GroupGeometry,
     GroupSpec,

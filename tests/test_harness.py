@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ from shadowlab.harness import (
 )
 from shadowlab.profinite import chain_from_csv
 from shadowlab.shifts import DyadicDistance
+from shadowlab.torus import (
+    PerturbedMap,
+    conjugacy_points,
+    random_displacement,
+    random_grid,
+    spectral_splitting,
+)
 
 
 def _trace_config(**overrides):
@@ -171,6 +179,17 @@ def test_toral_run_passes_and_writes_grid(tmp_path):
     lines = grid.read_text().strip().splitlines()
     assert lines[0] == "x0,x1,h0,h1"
     assert len(lines) == 129
+    # the written h columns are the conjugacy on the same grid, bit for bit
+    rng = Random(11)
+    A = ((2, 1), (1, 1))
+    disp = random_displacement(2, 1e-3, rng)
+    pts = random_grid(2, 128, rng)
+    h_pts, _ = conjugacy_points(A, PerturbedMap(A, disp),
+                                spectral_splitting(A), pts, 24)
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]])
+    assert np.array_equal(rows[:, :2], pts)
+    assert np.array_equal(rows[:, 2:], h_pts)
 
 
 def test_toral_run_fails_on_non_expansive_matrix():
@@ -283,7 +302,10 @@ def test_cli_schema_outputs_json(capsys):
 
 
 def test_cli_rejects_bad_configs(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "missing.json")]) == 2
+    missing = tmp_path / "missing.json"
+    assert main(["run", str(missing)]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot read {missing}: "
+                                       "No such file or directory\n")
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{nope")
     assert main(["run", str(bad_json)]) == 2
@@ -312,6 +334,20 @@ def test_cli_capacity_refusal_is_exit_three(tmp_path, capsys):
     assert main(["run", path]) == 3
     _, err = capsys.readouterr()
     assert "capacity exceeded" in err
+
+
+def test_cli_unconvergent_backward_iteration_is_exit_three(tmp_path, capsys):
+    cfg = {"experiment": "toral-stability", "seed": 0,
+           "parameters": {"matrix": [[1001, 1000], [1, 1]],
+                          "amplitude": 5e-05, "window": 4,
+                          "grid_points": 16}}
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("capacity exceeded: backward iteration did not "
+                          "converge within max_iter=500 steps; last step size ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def _assert_io_refusal(args, capsys, action, target):

@@ -1,21 +1,19 @@
 """Quotient chains, levelwise actions, and the rotation non-example."""
 
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
 
-from shadowlab.errors import GenerationError
 from shadowlab.groups import (
     CyclicGroup,
     GroupElement,
-    GroupGeometry,
     GroupSpec,
     IntegerLattice,
     integer_line_spec,
     integer_plane_spec,
 )
-from shadowlab.shifts import Configuration, ShiftSpace
 from shadowlab.profinite import (
     NecklaceShift,
     ProfinitePoint,
@@ -25,7 +23,6 @@ from shadowlab.profinite import (
     chain_modulus_certificate,
     chain_to_csv,
     chain_trace_experiment,
-    enumeration_distance,
     level_distance,
     necklace_modulus_search,
     odometer_chain,
@@ -33,6 +30,8 @@ from shadowlab.profinite import (
     random_point,
     randomize_deep_levels,
 )
+from shadowlab.shadowing import step_distances
+from shadowlab.shifts import refutes
 
 
 def test_odometer_levels_are_residue_rings():
@@ -151,6 +150,25 @@ def test_chain_trace_report_shape():
     assert rep.perturbed_levels > 0
 
 
+def test_corrupted_chain_field_fails_the_shared_step_check():
+    chain = odometer_chain(2, 8)
+    ball = chain.geometry.ball(3)
+    base = random_point(chain, Random(4))
+    entries = [act_point(chain, g, base) for g in ball]
+    act = partial(act_point, chain)
+    gens = chain.spec.generators
+    delta = Fraction(1, 2 ** 3)
+    faces = step_distances(act, level_distance, ball, entries, gens)
+    # an exact orbit: one face per indexed step, none refutes
+    assert len(faces) == 2 * len(ball) - 2
+    assert not any(refutes(d, delta) for d in faces)
+    one = GroupElement(IntegerLattice(1), (1,))
+    entries[1] = act_point(chain, one, entries[1])  # moves its level-1 class
+    faces = step_distances(act, level_distance, ball, entries, gens)
+    refuting = [d for d in faces if refutes(d, delta)]
+    assert refuting and all(d.value == 1 for d in refuting)
+
+
 def test_chain_too_shallow_for_modulus():
     chain = odometer_chain(2, 5)
     with pytest.raises(ValueError):
@@ -194,22 +212,3 @@ def test_necklace_defeats_every_modulus():
 def test_necklace_search_needs_room():
     with pytest.raises(ValueError):
         necklace_modulus_search(8, 7)
-
-
-def test_enumeration_distance_pins_and_bounds():
-    space = ShiftSpace(GroupGeometry(integer_line_spec()))
-    x = Configuration(space, 2, (0, 0, 0, 0, 0))
-    y = Configuration(space, 2, (1, 0, 1, 0, 0))
-    assert enumeration_distance(x, y) == Fraction(1, 1) + Fraction(1, 4)
-    assert enumeration_distance(x, x) == 0
-    rng = Random(8)
-    geo = space.geometry
-    for _ in range(200):
-        a = Configuration(space, 3, tuple(rng.randrange(2) for _ in range(7)))
-        b = Configuration(space, 3, tuple(rng.randrange(2) for _ in range(7)))
-        # agreement on ball(k) forces the tail bound sum_{i >= size(k)} 2^-i
-        for k in (0, 1, 2):
-            size = geo.ball_size(k)
-            if a.cells[:size] == b.cells[:size]:
-                assert enumeration_distance(a, b) <= Fraction(2, 2 ** size)
-        assert (enumeration_distance(a, b) == 0) == (a.cells == b.cells)

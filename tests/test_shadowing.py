@@ -118,6 +118,19 @@ def test_small_inner_radius_is_rejected(golden):
         generate_pseudo_orbit(golden, 6, plan, Random(0), mode="sideways")
 
 
+def test_generated_field_runs_its_step_check_once(golden):
+    plan = potp_modulus(1, Fraction(1, 8))
+    orb = generate_pseudo_orbit(golden, 6, plan, Random(4), inner_radius=8)
+    # the self-check inside generation left the profile on the field
+    assert "step_profile" in vars(orb)
+    first = delta_profile(orb)
+    assert delta_profile(orb) is first
+    fresh = PseudoOrbit(orb.space, orb.sft, orb.radius, orb.inner_radius,
+                        orb.delta, orb.entries, orb.mode, orb.perturbed_cells)
+    assert "step_profile" not in vars(fresh)
+    assert delta_profile(fresh) == first and delta_profile(fresh) is not first
+
+
 def test_corrupted_field_is_caught(line_space, golden):
     plan = potp_modulus(1, Fraction(1, 8))
     orb = generate_pseudo_orbit(golden, 6, plan, Random(3), mode="exact_orbit")
@@ -199,6 +212,76 @@ def test_trace_checks_record_comparison_radii(golden):
         assert chk.comparison_radius == min(8 - chk.word_length,
                                             orb.inner_radius)
         assert chk.passed
+
+
+def _ref_step_profile(orb):
+    """The step check as written out per face: shifted entry against its
+    target restricted to the shifted radius."""
+    geo = orb.space.geometry
+    worst, definite, holds = Fraction(0), 0, True
+    for gi, g in enumerate(geo.ball(orb.radius)):
+        for a in orb.space.spec.generators:
+            if geo.word_length(a * g, orb.radius) is None:
+                continue
+            stepped = shift(a, orb.entries[gi])
+            target = orb.entries[geo.position(a * g, orb.radius)]
+            d = distance(stepped, target.restrict(stepped.radius))
+            if not d.marker:
+                definite += 1
+                worst = max(worst, d.value)
+            holds = holds and not refutes(d, orb.delta)
+    return holds, worst, definite
+
+
+def _ref_passers(orb, plan, scan_radius, cap):
+    """Uniqueness passers with every frame restricted by hand to
+    c = min(R - |g|, inner radius, cap)."""
+    geo = orb.space.geometry
+    out = []
+    for cells in enumerate_admissible(orb.space, orb.sft, orb.radius):
+        y = Configuration(orb.space, orb.radius, cells)
+        ok = True
+        for gi, g in enumerate(geo.ball(scan_radius)):
+            c = min(orb.radius - geo.word_length(g, scan_radius),
+                    orb.inner_radius, cap)
+            d = distance(shift(g, y).restrict(c), orb.entries[gi].restrict(c))
+            if refutes(d, plan.epsilon):
+                ok = False
+                break
+        if ok:
+            out.append(y.serialize())
+    return out
+
+
+@pytest.mark.parametrize("mode", ["exact_orbit", "perturbed_orbit",
+                                  "random_flip"])
+def test_common_ball_comparisons_match_the_restricted_definitions(line_space,
+                                                                  mode):
+    plan = TracingPlan(0, Fraction(1, 8), 2, Fraction(1, 8))
+    fs = full_shift(line_space)
+    geo = line_space.geometry
+    # inner radius 6 below the field radius 7, so both bound some frame
+    orb = generate_pseudo_orbit(fs, 7, plan, Random(12), mode=mode,
+                                inner_radius=6, flip_attempts=24)
+    assert delta_profile(orb) == _ref_step_profile(orb)
+    wrong = Configuration(line_space, 7, (0,) * 15)
+    for trace in (construct_trace(orb), wrong):
+        res = verify_trace(orb, trace, plan, scan_radius=7)
+        for gi, chk in enumerate(res.checks):
+            g = geo.element_at(gi)
+            c = min(7 - geo.word_length(g, 7), 6)
+            assert chk.comparison_radius == c
+            assert chk.dist == distance(shift(g, trace).restrict(c),
+                                        orb.entries[gi].restrict(c))
+    orb = generate_pseudo_orbit(fs, 4, plan, Random(12), mode=mode,
+                                inner_radius=7, flip_attempts=24)
+    assert delta_profile(orb) == _ref_step_profile(orb)
+    for scan_radius in (0, 2, 4):
+        for cap in (0, 1, 2, 3):
+            rep = uniqueness_scan(orb, plan, Fraction(1, 2), scan_radius,
+                                  comparison_cap=cap, sample_limit=600)
+            assert list(rep.passer_samples) == _ref_passers(orb, plan,
+                                                            scan_radius, cap)
 
 
 # Reference window routines: the literal definitions, read straight off

@@ -27,7 +27,6 @@ from shadowlab.shifts import (
     distance,
     enumerate_admissible,
     even_window_sft,
-    forbidden_from_sft,
     full_shift,
     golden_mean_sft,
     hard_square_sft,
@@ -204,7 +203,7 @@ def test_enumeration_capacity_guard(free_space):
 
 def test_forbidden_complement_round_trip(line_space):
     sft = golden_mean_sft(line_space)
-    forb = forbidden_from_sft(sft)
+    forb = sorted(sft.forbidden)
     assert len(forb) == 3
     rebuilt = sft_from_forbidden(line_space, sft.window_radius, forb)
     assert rebuilt.allowed == sft.allowed

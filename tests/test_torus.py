@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from shadowlab.errors import CapacityError
 from shadowlab.torus import (
     CAT_MATRIX,
     FourierDisplacement,
@@ -111,8 +112,8 @@ def test_conjugacy_defect_decays_with_window():
     rng = Random(7)
     disp = random_displacement(2, 0.01, rng, terms=3)
     pts = random_grid(2, 200, rng)
-    rep16 = stability_report(CAT_MATRIX, disp, 16, pts)
-    rep24 = stability_report(CAT_MATRIX, disp, 24, pts)
+    rep16, _ = stability_report(CAT_MATRIX, disp, 16, pts)
+    rep24, _ = stability_report(CAT_MATRIX, disp, 24, pts)
     assert rep16.orbit_residual < 1e-13
     assert rep24.orbit_residual < 1e-13
     assert rep16.sup_conjugacy_defect < 1e-8
@@ -124,8 +125,9 @@ def test_conjugacy_defect_decays_with_window():
 def test_zero_amplitude_is_bit_exact_identity():
     zero = FourierDisplacement(2, 0.0, ((1, 0),), (1.0,), (0.0,))
     pts = random_grid(2, 50, Random(2))
-    rep = stability_report(CAT_MATRIX, zero, 12, pts)
+    rep, h_pts = stability_report(CAT_MATRIX, zero, 12, pts)
     assert rep.identity_exact is True
+    assert np.array_equal(h_pts, pts % 1.0)
     assert rep.sup_displacement == 0.0
     assert rep.sup_conjugacy_defect == 0.0
 
@@ -161,6 +163,17 @@ def test_perturbed_map_round_trip():
     fwd = pmap.forward(pts)
     back = pmap.backward(fwd)
     assert float(np.max(torus_distance(back, pts))) < 1e-11
+
+
+def test_backward_iteration_that_cannot_converge_is_a_capacity_error():
+    # passes the contraction guard, but near |x| = 1e3 floating point cannot
+    # resolve steps below the 1e-13 tolerance
+    rng = Random(0)
+    disp = random_displacement(2, 5e-5, rng)
+    pmap = PerturbedMap(((1001, 1000), (1, 1)), disp)
+    with pytest.raises(CapacityError, match=r"max_iter=500 steps; last step "
+                       r"size \d\.\d{3}e-\d+"):
+        pmap.backward(random_grid(2, 16, rng))
 
 
 def test_perturbed_map_guards_contraction():
