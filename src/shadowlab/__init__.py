@@ -28,7 +28,6 @@ from .shifts import (
     Alphabet,
     Configuration,
     DyadicDistance,
-    Pattern,
     SftSpec,
     ShiftSpace,
     allowed_blocks,

@@ -289,6 +289,10 @@ def _run_sft_trace(params: dict, rng: Random, output: dict):
                            Fraction(1, 2 ** (m + 1)))
     else:
         plan = potp_modulus(sft.window_radius, epsilon)
+    unique_scan = params.get("uniqueness", {}).get("scan_radius")
+    if unique_scan is not None and unique_scan > params["radius"]:
+        raise ConfigError(f"uniqueness.scan_radius {unique_scan} exceeds the "
+                          f"field radius {params['radius']}")
     orbit = generate_pseudo_orbit(
         sft, params["radius"], plan, rng,
         mode=params.get("mode", "perturbed_orbit"),
@@ -343,8 +347,7 @@ def _run_sft_synthesize(params: dict, rng: Random, output: dict):
     }
     passed = agreement
     if params.get("exact_cross_check", False):
-        exact = allowed_blocks_exact_line(sft, m + 1)
-        exact_cells = frozenset(p.cells for p in exact)
+        exact_cells = frozenset(allowed_blocks_exact_line(sft, m + 1))
         matches = exact_cells == synthesized.allowed
         results["slack_matches_exact"] = matches
         results["exact_count"] = len(exact_cells)

@@ -42,6 +42,7 @@ from .shifts import (
     allowed_blocks,
     distance,
     enumerate_admissible,
+    gather,
     locally_admissible,
     random_admissible,
     refutes,
@@ -164,7 +165,9 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
     entries = []
     perturbed = []
     for gi, g in enumerate(geo.ball(radius)):
-        exact = shift(g, base).restrict(r_in)
+        # shift(g, base).restrict(r_in), gathering only ball(r_in)
+        exact = Configuration(space, r_in, gather(
+            geo.right_translation(r_in, g, radius + r_in))(base.cells))
         sub = Random(seeds[gi])
         if mode == "exact_orbit" or kept == inner_size:
             entries.append(exact)
@@ -282,6 +285,8 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
     geo = space.geometry
     if scan_radius is None:
         scan_radius = max(orbit.radius - plan.modulus, 0)
+    if scan_radius > orbit.radius:
+        raise ValueError("scan radius cannot exceed the field radius")
     cap = comparison_cap if comparison_cap is not None else plan.modulus
     ball = geo.ball(scan_radius)
     # on the common ball, capping the targets caps every comparison
@@ -516,8 +521,7 @@ def synthesize_window_spec(sft: SftSpec, modulus: int, slack: int,
     The allowed set is the slack approximation of the block set at radius
     m+1; everything else on that ball is declared forbidden.
     """
-    blocks = allowed_blocks(sft, modulus + 1, slack, node_budget=node_budget)
-    allowed = frozenset(p.cells for p in blocks)
+    allowed = frozenset(allowed_blocks(sft, modulus + 1, slack, node_budget=node_budget))
     return SftSpec(sft.space, modulus + 1, allowed)
 
 

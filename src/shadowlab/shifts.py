@@ -25,8 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, GenerationError
 from .groups import GroupElement, GroupGeometry, GroupSpec, IntegerLattice
@@ -61,13 +62,22 @@ class Alphabet:
 BINARY = Alphabet(("0", "1"))
 
 
+def gather(table: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A reader that returns the cells at ``table``'s positions as a tuple,
+    in one call; a one-entry table still gives a 1-tuple."""
+    if len(table) == 1:
+        i = table[0]
+        return lambda cells: (cells[i],)
+    return itemgetter(*table)
+
+
 class ShiftSpace:
     """A group geometry plus an alphabet; equality is by group spec and alphabet."""
 
     def __init__(self, geometry: GroupGeometry, alphabet: Alphabet = BINARY):
         self.geometry = geometry
         self.alphabet = alphabet
-        self._window_tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+        self._window_readers: dict[tuple[int, int], tuple[Callable, ...]] = {}
         self._fill_plans: dict[tuple[int, int], tuple] = {}
 
     @property
@@ -86,49 +96,38 @@ class ShiftSpace:
     def __repr__(self) -> str:
         return f"ShiftSpace({self.geometry.spec.family.name}, {self.alphabet.symbols})"
 
-    def window_tables(self, radius: int, window_radius: int) -> tuple[tuple[int, ...], ...]:
-        """One index tuple per g in ball(radius - window_radius): the ball(radius)
-        positions of h*g for h in ball(window_radius)."""
+    def _window_centers(self, radius: int, window_radius: int) -> tuple[GroupElement, ...]:
+        if radius < window_radius:
+            return ()
+        return self.geometry.ball(radius - window_radius)
+
+    def window_readers(self, radius: int, window_radius: int) -> tuple[Callable, ...]:
+        """One reader per g in ball(radius - window_radius): called on the
+        cells of ball(radius), it returns the window at g, the cells of h*g
+        for h in ball(window_radius), as a tuple."""
         key = (radius, window_radius)
-        tables = self._window_tables.get(key)
-        if tables is None:
+        readers = self._window_readers.get(key)
+        if readers is None:
             geo = self.geometry
-            if radius < window_radius:
-                tables = ()
-            else:
-                centers = geo.ball(radius - window_radius)
-                tables = tuple(geo.right_translation(window_radius, g, radius)
-                               for g in centers)
-            self._window_tables[key] = tables
-        return tables
+            readers = tuple(gather(geo.right_translation(window_radius, g, radius))
+                            for g in self._window_centers(radius, window_radius))
+            self._window_readers[key] = readers
+        return readers
 
     def fill_plan(self, radius: int, window_radius: int):
-        """Windows grouped by the ball position that completes them, for
-        incremental admissibility checks during backtracking fills."""
+        """Window readers grouped by the ball position that completes them,
+        for incremental admissibility checks during backtracking fills."""
         key = (radius, window_radius)
         plan = self._fill_plans.get(key)
         if plan is None:
-            size = self.geometry.ball_size(radius)
-            by_last: list[list[tuple[int, ...]]] = [[] for _ in range(size)]
-            for table in self.window_tables(radius, window_radius):
-                by_last[max(table)].append(table)
+            geo = self.geometry
+            by_last: list[list[Callable]] = [[] for _ in range(geo.ball_size(radius))]
+            for g, read in zip(self._window_centers(radius, window_radius),
+                               self.window_readers(radius, window_radius)):
+                by_last[max(geo.right_translation(window_radius, g, radius))].append(read)
             plan = tuple(tuple(ws) for ws in by_last)
             self._fill_plans[key] = plan
         return plan
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """A dense symbol assignment on a ball, used for SFT windows and blocks."""
-
-    space: ShiftSpace
-    radius: int
-    cells: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        expected = self.space.geometry.ball_size(self.radius)
-        if len(self.cells) != expected:
-            raise ValueError(f"pattern needs {expected} cells, got {len(self.cells)}")
 
 
 @dataclass(frozen=True)
@@ -203,12 +202,15 @@ def distance(x: Configuration, y: Configuration) -> DyadicDistance:
     if x.space != y.space:
         raise ValueError("configurations live on different shift spaces")
     geo = x.space.geometry
-    # ball(r) is a prefix of every larger ball, so zip stops at the common one
-    for i, (u, v) in enumerate(zip(x.cells, y.cells)):
-        if u != v:
-            layer = geo.layer_of_position(i)
-            return DyadicDistance(max(layer - 1, 0), False)
-    return DyadicDistance(min(x.radius, y.radius) + 1, True)
+    radius = min(x.radius, y.radius)
+    lo = 0
+    # ball(k) is a prefix of every larger ball, so layer k is a slice
+    for k in range(radius + 1):
+        hi = geo.ball_size(k)
+        if x.cells[lo:hi] != y.cells[lo:hi]:
+            return DyadicDistance(max(k - 1, 0), False)
+        lo = hi
+    return DyadicDistance(radius + 1, True)
 
 
 def shift(g: GroupElement, x: Configuration) -> Configuration:
@@ -219,7 +221,7 @@ def shift(g: GroupElement, x: Configuration) -> Configuration:
         raise ValueError(f"cannot shift by {g!r}: word length exceeds radius {x.radius}")
     new_radius = x.radius - length
     table = geo.right_translation(new_radius, g, x.radius)
-    return Configuration(x.space, new_radius, tuple(x.cells[i] for i in table))
+    return Configuration(x.space, new_radius, gather(table)(x.cells))
 
 
 @dataclass(frozen=True)
@@ -286,11 +288,10 @@ def violations(x: Configuration, sft: SftSpec, first_only: bool = False) -> list
     if x.space != sft.space:
         raise ValueError("configuration and SFT live on different spaces")
     out: list[int] = []
-    tables = x.space.window_tables(x.radius, sft.window_radius)
     cells = x.cells
     allowed = sft.allowed
-    for gi, table in enumerate(tables):
-        if tuple(cells[i] for i in table) not in allowed:
+    for gi, read in enumerate(x.space.window_readers(x.radius, sft.window_radius)):
+        if read(cells) not in allowed:
             out.append(gi)
             if first_only:
                 return out
@@ -316,50 +317,67 @@ class _Fill:
         if len(self.prefix) > self.size:
             raise ValueError("prefix longer than the target ball")
 
-    def _ok(self, cells: list[int], pos: int) -> bool:
-        for table in self.plan[pos]:
-            if tuple(cells[i] for i in table) not in self.sft.allowed:
-                return False
-        return True
-
-    def _candidates(self) -> list[int]:
-        syms = list(range(self.space.alphabet.size))
-        if self.rng is not None:
-            self.rng.shuffle(syms)
-        return syms
-
     def solutions(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+        plan = self.plan
+        allowed = self.sft.allowed
         cells: list[int] = list(self.prefix) + [-1] * (self.size - len(self.prefix))
         start = len(self.prefix)
         for pos in range(start):
-            if not self._ok(cells, pos):
-                return
+            for read in plan[pos]:
+                if read(cells) not in allowed:
+                    return
         if start == self.size:
             yield tuple(cells)
             return
-        stack: list[list[int]] = [self._candidates()]
-        pos = start
+        n = self.space.alphabet.size
+        # Random.shuffle's draws, inline: for i = n-1 .. 1 it swaps i with
+        # the first getrandbits((i + 1).bit_length()) draw that is at most i
+        getrandbits = self.rng.getrandbits if self.rng is not None else None
+        schedule = tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+        last = self.size - 1
+        budget = self.node_budget
+        nodes = self.nodes
+        symbols = list(range(n))
+        stack: list[list[int]] = []
+        pos = start - 1
         emitted = 0
-        while stack:
-            options = stack[-1]
-            if not options:
-                stack.pop()
-                pos -= 1
-                continue
-            cells[pos] = options.pop()
-            self.nodes += 1
-            if self.nodes > self.node_budget:
-                raise CapacityError("fill search exceeded its node budget")
-            if not self._ok(cells, pos):
-                continue
-            if pos == self.size - 1:
-                yield tuple(cells)
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
-                continue
+        while True:
+            # descend one position and draw its candidate order
             pos += 1
-            stack.append(self._candidates())
+            options = symbols[:]
+            if getrandbits is not None:
+                for i, k in schedule:
+                    j = getrandbits(k)
+                    while j > i:
+                        j = getrandbits(k)
+                    options[i], options[j] = options[j], options[i]
+            stack.append(options)
+            # try candidates from the back, backtracking when a position runs out
+            while True:
+                if not options:
+                    stack.pop()
+                    if not stack:
+                        self.nodes = nodes
+                        return
+                    pos -= 1
+                    options = stack[-1]
+                    continue
+                cells[pos] = options.pop()
+                nodes += 1
+                if nodes > budget:
+                    self.nodes = nodes
+                    raise CapacityError("fill search exceeded its node budget")
+                for read in plan[pos]:
+                    if read(cells) not in allowed:
+                        break
+                else:
+                    if pos < last:
+                        break
+                    self.nodes = nodes
+                    yield tuple(cells)
+                    emitted += 1
+                    if limit is not None and emitted >= limit:
+                        return
 
 
 def random_admissible(space: ShiftSpace, sft: SftSpec, radius: int, rng: Random,
@@ -388,8 +406,8 @@ def _extendable(space: ShiftSpace, sft: SftSpec, base: tuple[int, ...],
 
 
 def allowed_blocks(sft: SftSpec, k: int, slack: int,
-                   node_budget: int = NODE_BUDGET) -> tuple[Pattern, ...]:
-    """Patterns on ball(k) extendable to a locally admissible assignment on
+                   node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], ...]:
+    """Cells on ball(k), sorted, extendable to a locally admissible assignment on
     ball(k + slack).  Shrinks toward the exact block set as slack grows."""
     if slack < 0:
         raise ValueError("slack must be nonnegative")
@@ -398,7 +416,7 @@ def allowed_blocks(sft: SftSpec, k: int, slack: int,
     for base in enumerate_admissible(space, sft, k, node_budget=node_budget):
         if _extendable(space, sft, base, k + slack, node_budget):
             out.append(base)
-    return tuple(Pattern(space, k, c) for c in sorted(out))
+    return tuple(sorted(out))
 
 
 def _line_index_map(space: ShiftSpace, radius: int) -> list[int]:
@@ -449,8 +467,9 @@ def _transfer_core(words: frozenset[tuple[int, ...]]) -> set[tuple[int, ...]]:
 
 
 def allowed_blocks_exact_line(sft: SftSpec, k: int,
-                              node_budget: int = NODE_BUDGET) -> tuple[Pattern, ...]:
-    """Exact block set over the integer line via transfer-graph reachability."""
+                              node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], ...]:
+    """Exact block set over the integer line via transfer-graph reachability,
+    as sorted cell tuples on ball(k)."""
     space = sft.space
     w = 2 * sft.window_radius + 1
     length = 2 * k + 1
@@ -483,12 +502,13 @@ def allowed_blocks_exact_line(sft: SftSpec, k: int,
         for line_pos, ball_pos in enumerate(idxs):
             cells[ball_pos] = word[line_pos]
         out.add(tuple(cells))
-    return tuple(Pattern(space, k, c) for c in sorted(out))
+    return tuple(sorted(out))
 
 
 def allowed_blocks_exact_finite(sft: SftSpec, k: int,
-                                node_budget: int = NODE_BUDGET) -> tuple[Pattern, ...]:
-    """Exact block set for a finite group by exhausting total configurations."""
+                                node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], ...]:
+    """Exact block set for a finite group by exhausting total configurations,
+    as sorted cell tuples on ball(min(k, diameter))."""
     space = sft.space
     geo = space.geometry
     radius = 0
@@ -508,7 +528,7 @@ def allowed_blocks_exact_finite(sft: SftSpec, k: int,
     for cells in itertools.product(range(n), repeat=total):
         if all(tuple(cells[i] for i in t) in sft.allowed for t in tables):
             found.add(cells[:cut])
-    return tuple(Pattern(space, k_eff, c) for c in sorted(found))
+    return tuple(sorted(found))
 
 
 def golden_mean_sft(space: ShiftSpace) -> SftSpec:

@@ -17,6 +17,8 @@ their float fields can differ in the last bits between BLAS builds.
 
 import hashlib
 import json
+import types
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +175,22 @@ def test_report_digest_is_pinned(name, tmp_path, monkeypatch, capsys):
     assert code in (0, 1)
     got = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert got == digest
+
+
+def test_tree_batch_items_match_the_benchmark_refs():
+    """The first two tree-batch pool cycles of the benchmark (10 fields)
+    reproduce the digests recorded in ``perfbench/refs``.  The benchmark's
+    workload module is compiled from its source and nothing under
+    ``perfbench/`` is written."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    source = (bench / "workloads.py").read_text()
+    wl = types.ModuleType("perfbench_workloads")
+    exec(compile(source, str(bench / "workloads.py"), "exec"), wl.__dict__)
+    refs = json.loads((bench / "refs" / "tree-batch.json").read_text())["digests"]
+    workload = wl.WORKLOADS["tree-batch"]
+    workload.build()
+    for c in range(2):
+        for index, family, seed, params in workload.pool_cycle(c):
+            text, passed, _ = family.run(seed, params, wl.DIRECT)
+            assert passed
+            assert wl.digest(text) == refs[index], (index, family.name)

@@ -129,6 +129,15 @@ def test_trace_rejects_modulus_inside_window():
         run_config(cfg)
 
 
+def test_trace_rejects_a_uniqueness_scan_beyond_the_field():
+    cfg = _trace_config(uniqueness={"eta": "1/2", "scan_radius": 5})
+    with pytest.raises(ConfigError, match=r"uniqueness\.scan_radius 5 exceeds "
+                                          r"the field radius 4"):
+        run_config(cfg)
+    report, _ = run_config(_trace_config(uniqueness={"eta": "1/2", "scan_radius": 4}))
+    assert report["results"]["uniqueness"]["scan_radius"] == 4
+
+
 def test_synthesize_run_round_trips_the_window():
     cfg = {"experiment": "sft-synthesize", "seed": 0,
            "parameters": {"group": "integer-line", "sft": "golden-mean",
@@ -348,6 +357,16 @@ def test_cli_unconvergent_backward_iteration_is_exit_three(tmp_path, capsys):
     assert err.startswith("capacity exceeded: backward iteration did not "
                           "converge within max_iter=500 steps; last step size ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_uniqueness_scan_beyond_the_field_is_exit_two(tmp_path, capsys):
+    cfg = _trace_config(uniqueness={"eta": "1/2", "scan_radius": 6})
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: uniqueness.scan_radius 6 exceeds the field "
+                   "radius 4\n")
 
 
 def _assert_io_refusal(args, capsys, action, target):

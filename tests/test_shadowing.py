@@ -166,6 +166,48 @@ def test_uniqueness_scan_finds_exactly_one(line_space):
     assert rep.multiplicity_within_core == 1
 
 
+def test_uniqueness_scan_refuses_a_scan_beyond_the_field(line_space):
+    fs = full_shift(line_space)
+    plan = TracingPlan(0, Fraction(1, 8), 2, Fraction(1, 8))
+    orb = generate_pseudo_orbit(fs, 4, plan, Random(5), inner_radius=5)
+    assert uniqueness_scan(orb, plan, Fraction(1, 2), scan_radius=4).multiplicity == 1
+    with pytest.raises(ValueError, match="scan radius cannot exceed the field radius"):
+        uniqueness_scan(orb, plan, Fraction(1, 2), scan_radius=5)
+
+
+_FIELD_CASES = {
+    # group: (SFT, field radius, plan, inner radius)
+    "line": (golden_mean_sft, 4, potp_modulus(1, Fraction(1, 4)), 7),
+    "plane": (hard_square_sft, 2, potp_modulus(1, Fraction(1, 4)), 7),
+    "free": (one_forbidden_window_sft, 1,
+             TracingPlan(1, Fraction(1, 4), 2, Fraction(1, 8)), 6),
+    "heisenberg": (full_shift, 1, potp_modulus(0, Fraction(1, 2)), 6),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_FIELD_CASES))
+def test_generated_entries_are_restricted_shifts_of_the_base(group):
+    build, radius, plan, inner = _FIELD_CASES[group]
+    space = ShiftSpace(GroupGeometry(_GROUP_SPECS[group]()))
+    sft = build(space)
+    geo = space.geometry
+    kept = geo.ball_size(min(plan.modulus + 3, inner))
+    assert kept < geo.ball_size(inner)  # the perturbed mode touches a layer
+    for seed in range(3):
+        # the base is the field's first draw
+        base = random_admissible(space, sft, radius + inner, Random(seed))
+        exact = [shift(g, base).restrict(inner) for g in geo.ball(radius)]
+        orb = generate_pseudo_orbit(sft, radius, plan, Random(seed),
+                                    mode="exact_orbit", inner_radius=inner)
+        assert list(orb.entries) == exact
+        orb = generate_pseudo_orbit(sft, radius, plan, Random(seed),
+                                    inner_radius=inner)
+        assert [x.cells[:kept] for x in orb.entries] == [x.cells[:kept] for x in exact]
+        assert list(orb.perturbed_cells) == [
+            (gi, p) for gi, (x, y) in enumerate(zip(orb.entries, exact))
+            for p in range(kept, len(x.cells)) if x.cells[p] != y.cells[p]]
+
+
 def test_window_scans_agree_at_small_radius(line_space):
     eta, eps = Fraction(1, 2), Fraction(1, 4)
     flip = separation_window_flip_scan(line_space, eta, eps, 4, 4)
