@@ -304,30 +304,15 @@ class GroupSpec:
         self._check_spanning()
 
     def _check_spanning(self) -> None:
+        geo = GroupGeometry(self)
         canonical = [GroupElement(self.family, p)
                      for p in self.family.canonical_generator_payloads()]
-        missing = set(canonical) - set(self.generators)
-        if not missing:
-            return
-        reached = {identity(self.family)}
-        frontier = [identity(self.family)]
-        for _ in range(SPAN_CHECK_RADIUS):
-            nxt = []
-            for h in frontier:
-                for a in self.generators:
-                    g = h * a
-                    if g not in reached:
-                        reached.add(g)
-                        nxt.append(g)
-            frontier = nxt
-            missing -= reached
-            if not missing:
-                return
-            if len(reached) > ELEMENT_BUDGET:
-                break
-        raise ValueError(
-            f"generators {self.generators} do not reach {sorted(missing, key=lambda g: self.family.sort_key(g.payload))} "
-            f"within radius {SPAN_CHECK_RADIUS}; not accepted as a generating set")
+        missing = [g for g in canonical if g not in self.generators
+                   and geo.word_length(g, SPAN_CHECK_RADIUS) is None]
+        if missing:
+            raise ValueError(
+                f"generators {self.generators} do not reach {sorted(missing, key=lambda g: self.family.sort_key(g.payload))} "
+                f"within radius {SPAN_CHECK_RADIUS}; not accepted as a generating set")
 
     def identity(self) -> GroupElement:
         return identity(self.family)
@@ -338,20 +323,27 @@ class GroupGeometry:
 
     Balls are grown layer by layer and shared: ball(k) is always a prefix of
     ball(k + 1) in the master enumeration, the identity sits at index 0, and
-    each layer is sorted by the family's normal-form key.  Translation tables
-    (position of h*g for every h in a ball) are cached since the shift action
-    reuses them heavily.
+    each layer is sorted by the family's normal-form key.  Growth records
+    integer tables over ball indices: ``_mul[a][i]`` is the index of element
+    i times generator a (inside the outermost layer), and element i is
+    element ``_parent[i]`` times generator ``_via[i]``, so the parents spell
+    a geodesic word.  Translation tables (position of h*g for every h in a
+    ball) compose ``_mul`` along that word and are cached, since the shift
+    action reuses them heavily, as are the step tables.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self._elements: list[GroupElement] = [spec.identity()]
-        self._layer: dict[GroupElement, int] = {spec.identity(): 0}
         self._index: dict[GroupElement, int] = {spec.identity(): 0}
+        self._layers: list[int] = [0]
+        self._parent: list[int] = [0]
+        self._via: list[int] = [-1]
+        self._mul: list[list[int]] = [[] for _ in spec.generators]
         self._ball_sizes: list[int] = [1]  # ball_sizes[k] == |ball(k)|
-        self._frontier: list[GroupElement] = [spec.identity()]
         self._saturated = False
         self._translations: dict[tuple[int, GroupElement, int], tuple[int, ...]] = {}
+        self._step_tables: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
 
     @property
     def family(self):
@@ -365,12 +357,15 @@ class GroupGeometry:
             self._ball_sizes.append(self._ball_sizes[-1])
             return
         key = self.family.sort_key
-        fresh: dict[GroupElement, None] = {}
-        for h in self._frontier:
-            for a in self.spec.generators:
-                g = h * a
-                if g not in self._layer and g not in fresh:
-                    fresh[g] = None
+        index = self._index
+        gens = self.spec.generators
+        rows = len(self._mul[0])  # the frontier starts where the tables end
+        products = [h * a for h in self._elements[rows:] for a in gens]
+        found = list(map(index.get, products))
+        fresh: dict[GroupElement, int] = {}
+        for k, g in enumerate(products):
+            if found[k] is None:
+                fresh.setdefault(g, k)
         layer = sorted(fresh, key=lambda g: key(g.payload))
         radius = len(self._ball_sizes)
         if len(self._elements) + len(layer) > ELEMENT_BUDGET:
@@ -378,11 +373,15 @@ class GroupGeometry:
                 f"ball({radius}) would exceed the element budget "
                 f"({ELEMENT_BUDGET}) for {self.family.name}")
         for g in layer:
-            self._layer[g] = radius
-            self._index[g] = len(self._elements)
+            parent, via = divmod(fresh[g], len(gens))
+            index[g] = len(self._elements)
             self._elements.append(g)
+            self._layers.append(radius)
+            self._parent.append(rows + parent)
+            self._via.append(via)
+        for k, j in enumerate(found):
+            self._mul[k % len(gens)].append(index[products[k]] if j is None else j)
         self._ball_sizes.append(len(self._elements))
-        self._frontier = layer
         if not layer:
             self._saturated = True
 
@@ -410,7 +409,7 @@ class GroupGeometry:
         return i
 
     def layer_of_position(self, i: int) -> int:
-        return self._layer[self._elements[i]]
+        return self._layers[i]
 
     def element_at(self, i: int) -> GroupElement:
         return self._elements[i]
@@ -419,76 +418,77 @@ class GroupGeometry:
         """BFS word length of g, or None if it exceeds max_radius."""
         if g.family != self.family:
             raise ValueError("element from a different family")
-        for k in range(max_radius + 1):
-            self.ensure_radius(k)
-            hit = self._layer.get(g)
-            if hit is not None and hit <= k:
-                return hit
-            if self._saturated:
-                break
-        hit = self._layer.get(g)
-        if hit is not None and hit <= max_radius:
-            return hit
-        return None
+        i = self._index.get(g)
+        while (i is None and self.max_radius_built() < max_radius
+               and not self._saturated):
+            self._grow_one_layer()
+            i = self._index.get(g)
+        if i is None or self._layers[i] > max_radius:
+            return None
+        return self._layers[i]
+
+    def _word(self, i: int) -> list[int]:
+        """The generator indices of element i's geodesic word, in order."""
+        word = []
+        while i:
+            word.append(self._via[i])
+            i = self._parent[i]
+        return word[::-1]
+
+    def word(self, g: GroupElement, max_radius: int) -> Optional[list[GroupElement]]:
+        """The geodesic word the parent pointers spell for g (deterministic:
+        BFS layer order with sorted tie-breaking), or None if |g| > max_radius."""
+        if self.word_length(g, max_radius) is None:
+            return None
+        return [self.spec.generators[a] for a in self._word(self._index[g])]
 
     def right_translation(self, src_radius: int, g: GroupElement,
                           dst_radius: int) -> tuple[int, ...]:
         """For each h in ball(src_radius), the ball(dst_radius) index of h*g.
 
         The caller must guarantee src_radius + word_length(g) <= dst_radius so
-        every product lands inside the destination ball.
+        every product lands inside the destination ball; a product outside
+        it raises ValueError.
         """
         key = (src_radius, g, dst_radius)
         table = self._translations.get(key)
         if table is None:
-            self.ensure_radius(dst_radius)
-            src = self.ball(src_radius)
-            table = tuple(self.position(h * g, dst_radius) for h in src)
+            i = self.position(g, dst_radius)
+            # every row the word passes through lies in a tabulated layer
+            self.ensure_radius(src_radius + self._layers[i])
+            table = range(len(self.ball(src_radius)))
+            for a in self._word(i):
+                table = map(self._mul[a].__getitem__, table)
+            table = tuple(table)
+            if max(table) >= self._ball_sizes[dst_radius]:
+                raise ValueError(f"ball({src_radius}) * {g!r} leaves "
+                                 f"ball({dst_radius})")
             self._translations[key] = table
+        return table
+
+    def step_table(self, radius: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each index i of ball(radius), the pairs (a, j) with j the
+        ball(radius) index of a*g_i, a running over generator indices."""
+        table = self._step_tables.get(radius)
+        if table is None:
+            self.ensure_radius(radius + 1)
+            n = self._ball_sizes[radius]
+            lefts = [[mul[0]] for mul in self._mul]  # a*e = a
+            for left in lefts:
+                # a*g_i = (a*g_parent) * g_via, and parents come first
+                for i in range(1, n):
+                    left.append(self._mul[self._via[i]][left[self._parent[i]]])
+            table = self._step_tables[radius] = tuple(
+                tuple((a, left[i]) for a, left in enumerate(lefts) if left[i] < n)
+                for i in range(n))
         return table
 
 
 def rewrite_generator(a: GroupElement, target_spec: GroupSpec,
                       max_radius: int) -> Optional[list[GroupElement]]:
-    """A geodesic word over target_spec's generators whose product is ``a``.
-
-    Deterministic: BFS layer order with sorted tie-breaking, so the first word
-    found is reproducible.  Returns None when no word of length <= max_radius
-    exists.
-    """
-    if a.family != target_spec.family:
-        raise ValueError("element from a different family")
-    start = target_spec.identity()
-    if a == start:
-        return []
-    parent: dict[GroupElement, tuple[GroupElement, GroupElement]] = {start: None}
-    frontier = [start]
-    key = target_spec.family.sort_key
-    for _ in range(max_radius):
-        fresh: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
-        for h in frontier:
-            for gen in target_spec.generators:
-                g = h * gen
-                if g not in parent and g not in fresh:
-                    fresh[g] = (h, gen)
-        if not fresh:
-            return None
-        if len(parent) + len(fresh) > ELEMENT_BUDGET:
-            raise CapacityError("rewrite search exceeded the element budget")
-        layer = sorted(fresh, key=lambda g: key(g.payload))
-        for g in layer:
-            parent[g] = fresh[g]
-        if a in parent:
-            word: list[GroupElement] = []
-            cur = a
-            while parent[cur] is not None:
-                prev, gen = parent[cur]
-                word.append(gen)
-                cur = prev
-            word.reverse()
-            return word
-        frontier = layer
-    return None
+    """A geodesic word over target_spec's generators whose product is ``a``,
+    or None when no word of length <= max_radius exists."""
+    return GroupGeometry(target_spec).word(a, max_radius)
 
 
 def integer_line_spec() -> GroupSpec:

@@ -289,10 +289,12 @@ def _run_sft_trace(params: dict, rng: Random, output: dict):
                            Fraction(1, 2 ** (m + 1)))
     else:
         plan = potp_modulus(sft.window_radius, epsilon)
-    unique_scan = params.get("uniqueness", {}).get("scan_radius")
-    if unique_scan is not None and unique_scan > params["radius"]:
-        raise ConfigError(f"uniqueness.scan_radius {unique_scan} exceeds the "
-                          f"field radius {params['radius']}")
+    for key, scan in (("scan_radius", params.get("scan_radius")),
+                      ("uniqueness.scan_radius",
+                       params.get("uniqueness", {}).get("scan_radius"))):
+        if scan is not None and scan > params["radius"]:
+            raise ConfigError(f"{key} {scan} exceeds the field radius "
+                              f"{params['radius']}")
     orbit = generate_pseudo_orbit(
         sft, params["radius"], plan, rng,
         mode=params.get("mode", "perturbed_orbit"),

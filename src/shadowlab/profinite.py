@@ -37,7 +37,6 @@ from .groups import (
     GroupSpec,
     IntegerLattice,
     integer_line_spec,
-    rewrite_generator,
 )
 from .shadowing import step_distances, trace_distances
 from .shifts import DyadicDistance, refutes
@@ -75,7 +74,6 @@ class QuotientChain:
             for i, par in enumerate(parents[n]):
                 kids.setdefault(par, []).append(i)
             self._children.append({p: tuple(v) for p, v in kids.items()})
-        self._words: dict[GroupElement, tuple[GroupElement, ...]] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -127,15 +125,11 @@ class QuotientChain:
     def children(self, n: int, parent_class: int) -> tuple[int, ...]:
         return self._children[n][parent_class]
 
-    def word_for(self, g: GroupElement) -> tuple[GroupElement, ...]:
-        word = self._words.get(g)
+    def word_for(self, g: GroupElement) -> list[GroupElement]:
+        word = self.geometry.word(g, _WORD_SEARCH_RADIUS)
         if word is None:
-            found = rewrite_generator(g, self.spec, _WORD_SEARCH_RADIUS)
-            if found is None:
-                raise CapacityError(f"no generator word for {g!r} within "
-                                    f"radius {_WORD_SEARCH_RADIUS}")
-            word = tuple(found)
-            self._words[g] = word
+            raise CapacityError(f"no generator word for {g!r} within "
+                                f"radius {_WORD_SEARCH_RADIUS}")
         return word
 
 
@@ -340,8 +334,9 @@ def chain_trace_experiment(chain: QuotientChain, radius: int, modulus: int,
                          if entry.path[n] != exact.path[n])
         entries.append(entry)
     act = partial(act_point, chain)
-    steps = step_distances(act, level_distance, ball, entries,
-                           chain.spec.generators)
+    gens = chain.spec.generators
+    steps = step_distances(lambda a, x: act(gens[a], x), level_distance, geo,
+                           radius, entries)
     residuals = tuple(trace_distances(act, level_distance, ball, entries[0],
                                       entries))
     step_ok = not any(refutes(d, delta) for d in steps)

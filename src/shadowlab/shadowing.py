@@ -20,15 +20,15 @@ Radius bookkeeping, fixed once and used throughout:
 
 The step check and the trace comparison are written once, for any action
 ``act(a, x)`` and metric ``distance(x, y)``: shift fields use ``shift`` and
-the common-ball ``distance``, quotient chains their levelwise action and
-``level_distance``.
+the common-ball ``distance`` (on bare cells in the step check), quotient
+chains their levelwise action and ``level_distance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -43,6 +43,7 @@ from .shifts import (
     distance,
     enumerate_admissible,
     gather,
+    layer_distance,
     locally_admissible,
     random_admissible,
     refutes,
@@ -73,21 +74,17 @@ def potp_modulus(window_radius: int, epsilon: Fraction) -> TracingPlan:
     return TracingPlan(window_radius, Fraction(epsilon), m, Fraction(1, 2 ** (m + 1)))
 
 
-def step_distances(act: Callable, distance: Callable, ball: Sequence,
-                   entries: Sequence, generators: Sequence) -> tuple:
-    """The step faces d(a . x_g, x_{ag}) of a field indexed by ``ball``.
+def step_distances(act: Callable, distance: Callable, geometry,
+                   radius: int, entries: Sequence) -> tuple:
+    """The step faces d(a . x_g, x_{ag}) of a field indexed by ball(radius).
 
-    One face per element g and generator a with ag indexed too, in ball
-    order and then generator order.
+    One face per element g and generator a with ag in the ball too, in ball
+    order and then generator order, read off the geometry's step table;
+    ``act`` takes the generator's index in the spec's generator tuple.
     """
-    index = {g: i for i, g in enumerate(ball)}
-    faces = []
-    for g, x in zip(ball, entries):
-        for a in generators:
-            j = index.get(a * g)
-            if j is not None:
-                faces.append(distance(act(a, x), entries[j]))
-    return tuple(faces)
+    return tuple(distance(act(a, x), entries[j])
+                 for x, steps in zip(entries, geometry.step_table(radius))
+                 for a, j in steps)
 
 
 def trace_distances(act: Callable, distance: Callable, ball: Sequence,
@@ -117,13 +114,19 @@ class PseudoOrbit:
     @cached_property
     def step_profile(self) -> tuple[bool, Fraction, int]:
         """(holds, worst definite face value, definite face count) of the
-        step check, computed once per field."""
-        faces = step_distances(shift, distance,
-                               self.space.geometry.ball(self.radius),
-                               self.entries, self.space.spec.generators)
-        definite = [d.value for d in faces if not d.marker]
-        holds = not any(refutes(d, self.delta) for d in faces)
-        return holds, max(definite, default=Fraction(0)), len(definite)
+        step check, computed once per field: a face gathers an entry's cells
+        moved by a generator and compares cells by layer slices."""
+        geo = self.space.geometry
+        r = self.inner_radius - 1
+        moves = [gather(geo.right_translation(r, a, r + 1))
+                 for a in self.space.spec.generators]
+        ends = [geo.ball_size(k) for k in range(r + 1)]
+        faces = step_distances(lambda a, cells: moves[a](cells),
+                               partial(layer_distance, ends), geo, self.radius,
+                               [x.cells for x in self.entries])
+        definite = [d.exponent for d in faces if not d.marker]
+        worst = Fraction(1, 2 ** min(definite)) if definite else Fraction(0)
+        return not definite or worst < self.delta, worst, len(definite)
 
 
 def delta_profile(orbit: PseudoOrbit) -> tuple[bool, Fraction, int]:
@@ -168,22 +171,24 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
         # shift(g, base).restrict(r_in), gathering only ball(r_in)
         exact = Configuration(space, r_in, gather(
             geo.right_translation(r_in, g, radius + r_in))(base.cells))
-        sub = Random(seeds[gi])
         if mode == "exact_orbit" or kept == inner_size:
             entries.append(exact)
             continue
+        sub = Random(seeds[gi])
         if mode == "perturbed_orbit":
             entry = random_admissible(space, sft, r_in, sub,
                                       prefix=exact.cells[:kept],
                                       node_budget=node_budget)
         else:
+            # exact is admissible and so is every accepted flip, so only
+            # the windows holding the flipped cell can reject a flip
+            windows_at = space.window_plan(r_in, sft.window_radius, True)
             cells = list(exact.cells)
             for _ in range(flip_attempts):
                 pos = sub.randrange(kept, inner_size)
                 old = cells[pos]
                 cells[pos] = sub.randrange(space.alphabet.size)
-                candidate = Configuration(space, r_in, tuple(cells))
-                if not locally_admissible(candidate, sft):
+                if any(read(cells) not in sft.allowed for read in windows_at[pos]):
                     cells[pos] = old
             entry = Configuration(space, r_in, tuple(cells))
         for pos in range(kept, inner_size):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from operator import itemgetter
 from random import Random
 from typing import Callable, Iterator, Optional, Sequence
@@ -78,7 +79,7 @@ class ShiftSpace:
         self.geometry = geometry
         self.alphabet = alphabet
         self._window_readers: dict[tuple[int, int], tuple[Callable, ...]] = {}
-        self._fill_plans: dict[tuple[int, int], tuple] = {}
+        self._window_plans: dict[tuple[int, int, bool], tuple] = {}
 
     @property
     def spec(self) -> GroupSpec:
@@ -114,19 +115,23 @@ class ShiftSpace:
             self._window_readers[key] = readers
         return readers
 
-    def fill_plan(self, radius: int, window_radius: int):
+    def window_plan(self, radius: int, window_radius: int, every_cell: bool = False):
         """Window readers grouped by the ball position that completes them,
-        for incremental admissibility checks during backtracking fills."""
-        key = (radius, window_radius)
-        plan = self._fill_plans.get(key)
+        for incremental admissibility checks during backtracking fills; with
+        ``every_cell``, by every position they hold, for re-checking one
+        changed cell of an admissible assignment."""
+        key = (radius, window_radius, every_cell)
+        plan = self._window_plans.get(key)
         if plan is None:
             geo = self.geometry
-            by_last: list[list[Callable]] = [[] for _ in range(geo.ball_size(radius))]
+            by_cell: list[list[Callable]] = [[] for _ in range(geo.ball_size(radius))]
             for g, read in zip(self._window_centers(radius, window_radius),
                                self.window_readers(radius, window_radius)):
-                by_last[max(geo.right_translation(window_radius, g, radius))].append(read)
-            plan = tuple(tuple(ws) for ws in by_last)
-            self._fill_plans[key] = plan
+                table = geo.right_translation(window_radius, g, radius)
+                for pos in table if every_cell else (max(table),):
+                    by_cell[pos].append(read)
+            plan = tuple(tuple(ws) for ws in by_cell)
+            self._window_plans[key] = plan
         return plan
 
 
@@ -202,15 +207,21 @@ def distance(x: Configuration, y: Configuration) -> DyadicDistance:
     if x.space != y.space:
         raise ValueError("configurations live on different shift spaces")
     geo = x.space.geometry
-    radius = min(x.radius, y.radius)
+    ends = [geo.ball_size(k) for k in range(min(x.radius, y.radius) + 1)]
+    return layer_distance(ends, x.cells, y.cells)
+
+
+def layer_distance(ends: Sequence[int], x: Sequence[int],
+                   y: Sequence[int]) -> DyadicDistance:
+    """``distance`` on cell sequences compared on the ball whose layer k
+    ends at index ``ends[k]``."""
     lo = 0
     # ball(k) is a prefix of every larger ball, so layer k is a slice
-    for k in range(radius + 1):
-        hi = geo.ball_size(k)
-        if x.cells[lo:hi] != y.cells[lo:hi]:
+    for k, hi in enumerate(ends):
+        if x[lo:hi] != y[lo:hi]:
             return DyadicDistance(max(k - 1, 0), False)
         lo = hi
-    return DyadicDistance(radius + 1, True)
+    return DyadicDistance(len(ends), True)
 
 
 def shift(g: GroupElement, x: Configuration) -> Configuration:
@@ -298,8 +309,24 @@ def violations(x: Configuration, sft: SftSpec, first_only: bool = False) -> list
     return out
 
 
+def _candidate_order(n: int, code: int) -> tuple[int, ...]:
+    """The order Random.shuffle leaves range(n) in after the draws that
+    ``code`` packs: its draw for i = n-1 .. 1 is the digit of place value i!."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = code // factorial(i) % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return tuple(order)
+
+
 class _Fill:
-    """Backtracking filler/enumerator for locally admissible assignments."""
+    """Backtracking filler/enumerator for locally admissible assignments.
+
+    A descent allocates nothing: its candidate order (range(n) without an
+    RNG) is a tuple memoised in ``orders`` by its draw code, at most one per
+    node, and per-position lists made once per search keep each position's
+    order and its count of untried candidates, tried from the back.
+    """
 
     def __init__(self, space: ShiftSpace, sft: SftSpec, radius: int,
                  prefix: Optional[tuple[int, ...]] = None,
@@ -309,11 +336,12 @@ class _Fill:
         self.sft = sft
         self.radius = radius
         self.size = space.geometry.ball_size(radius)
-        self.plan = space.fill_plan(radius, sft.window_radius)
+        self.plan = space.window_plan(radius, sft.window_radius)
         self.prefix = prefix or ()
         self.rng = rng
         self.node_budget = node_budget
         self.nodes = 0
+        self.orders: dict[int, tuple[int, ...]] = {}
         if len(self.prefix) > self.size:
             raise ValueError("prefix longer than the target ball")
 
@@ -331,38 +359,52 @@ class _Fill:
             return
         n = self.space.alphabet.size
         # Random.shuffle's draws, inline: for i = n-1 .. 1 it swaps i with
-        # the first getrandbits((i + 1).bit_length()) draw that is at most i
+        # the first getrandbits((i + 1).bit_length()) draw that is at most i;
+        # read as mixed-radix digits, the draws are the order's draw code
         getrandbits = self.rng.getrandbits if self.rng is not None else None
-        schedule = tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+        schedule = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+        (top, top_bits), rest = schedule[0], tuple(schedule[1:])
+        orders = self.orders
+        natural = tuple(range(n))
+        order_at: list[tuple[int, ...]] = [natural] * self.size
+        untried_at = [0] * self.size
         last = self.size - 1
         budget = self.node_budget
         nodes = self.nodes
-        symbols = list(range(n))
-        stack: list[list[int]] = []
         pos = start - 1
         emitted = 0
         while True:
             # descend one position and draw its candidate order
             pos += 1
-            options = symbols[:]
-            if getrandbits is not None:
-                for i, k in schedule:
-                    j = getrandbits(k)
-                    while j > i:
+            if getrandbits is None:
+                order = natural
+            else:
+                code = getrandbits(top_bits)
+                while code > top:
+                    code = getrandbits(top_bits)
+                if rest:  # alphabets wider than binary
+                    for i, k in rest:
                         j = getrandbits(k)
-                    options[i], options[j] = options[j], options[i]
-            stack.append(options)
+                        while j > i:
+                            j = getrandbits(k)
+                        code = code * (i + 1) + j
+                try:
+                    order = orders[code]
+                except KeyError:
+                    order = orders[code] = _candidate_order(n, code)
+            untried = n
             # try candidates from the back, backtracking when a position runs out
             while True:
-                if not options:
-                    stack.pop()
-                    if not stack:
+                if not untried:
+                    if pos == start:
                         self.nodes = nodes
                         return
                     pos -= 1
-                    options = stack[-1]
+                    order = order_at[pos]
+                    untried = untried_at[pos]
                     continue
-                cells[pos] = options.pop()
+                untried -= 1
+                cells[pos] = order[untried]
                 nodes += 1
                 if nodes > budget:
                     self.nodes = nodes
@@ -372,6 +414,8 @@ class _Fill:
                         break
                 else:
                     if pos < last:
+                        order_at[pos] = order
+                        untried_at[pos] = untried
                         break
                     self.nodes = nodes
                     yield tuple(cells)
@@ -397,14 +441,6 @@ def enumerate_admissible(space: ShiftSpace, sft: SftSpec, radius: int,
     return fill.solutions(limit=limit)
 
 
-def _extendable(space: ShiftSpace, sft: SftSpec, base: tuple[int, ...],
-                radius: int, node_budget: int) -> bool:
-    fill = _Fill(space, sft, radius, prefix=base, rng=None, node_budget=node_budget)
-    for _ in fill.solutions(limit=1):
-        return True
-    return False
-
-
 def allowed_blocks(sft: SftSpec, k: int, slack: int,
                    node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], ...]:
     """Cells on ball(k), sorted, extendable to a locally admissible assignment on
@@ -414,7 +450,8 @@ def allowed_blocks(sft: SftSpec, k: int, slack: int,
     space = sft.space
     out = []
     for base in enumerate_admissible(space, sft, k, node_budget=node_budget):
-        if _extendable(space, sft, base, k + slack, node_budget):
+        fill = _Fill(space, sft, k + slack, prefix=base, node_budget=node_budget)
+        if next(fill.solutions(limit=1), None) is not None:
             out.append(base)
     return tuple(sorted(out))
 

@@ -177,16 +177,23 @@ def test_report_digest_is_pinned(name, tmp_path, monkeypatch, capsys):
     assert got == digest
 
 
+def _bench_workloads():
+    """The benchmark's workload module, compiled from its source so that
+    nothing under ``perfbench/`` is written."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    source = (bench / "workloads.py").read_text()
+    wl = types.ModuleType("perfbench_workloads")
+    exec(compile(source, str(bench / "workloads.py"), "exec"), wl.__dict__)
+    return wl, bench / "refs"
+
+
 def test_tree_batch_items_match_the_benchmark_refs():
     """The first two tree-batch pool cycles of the benchmark (10 fields)
     reproduce the digests recorded in ``perfbench/refs``.  The benchmark's
     workload module is compiled from its source and nothing under
     ``perfbench/`` is written."""
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    source = (bench / "workloads.py").read_text()
-    wl = types.ModuleType("perfbench_workloads")
-    exec(compile(source, str(bench / "workloads.py"), "exec"), wl.__dict__)
-    refs = json.loads((bench / "refs" / "tree-batch.json").read_text())["digests"]
+    wl, refs_dir = _bench_workloads()
+    refs = json.loads((refs_dir / "tree-batch.json").read_text())["digests"]
     workload = wl.WORKLOADS["tree-batch"]
     workload.build()
     for c in range(2):
@@ -194,3 +201,23 @@ def test_tree_batch_items_match_the_benchmark_refs():
             text, passed, _ = family.run(seed, params, wl.DIRECT)
             assert passed
             assert wl.digest(text) == refs[index], (index, family.name)
+
+
+LIGHT_CONFIG_MIX = ("uniqueness", "window-plane", "window-free", "synthesize",
+                    "odometer", "plane-lattice")
+
+
+def test_light_config_mix_items_match_the_benchmark_refs():
+    """The light certify items of the first config-mix pool cycle, run
+    through ``run_config``, reproduce the digests in ``perfbench/refs``."""
+    wl, refs_dir = _bench_workloads()
+    refs = json.loads((refs_dir / "config-mix.json").read_text())["digests"]
+    seen = set()
+    for index, family, seed, params in wl.WORKLOADS["config-mix"].pool_cycle(0):
+        if family.name not in LIGHT_CONFIG_MIX:
+            continue
+        text, passed, report = family.run(seed, params, wl.DIRECT)
+        assert family.expected(passed, report), (index, family.name)
+        assert wl.digest(text) == refs[index], (index, family.name)
+        seen.add(family.name)
+    assert seen == set(LIGHT_CONFIG_MIX)

@@ -206,3 +206,71 @@ def test_word_length_beyond_radius_is_none(geometries):
         far = far * spec.generators[0]
     assert geo.word_length(far, 3) is None
     assert geo.word_length(far, 5) == 5
+
+
+def _table_specs():
+    fam = IntegerLattice(1)
+    two_three = GroupSpec(fam, generators=(GroupElement(fam, (2,)),
+                                           GroupElement(fam, (3,))))
+    # (spec, largest destination radius)
+    return {"integer-line": (integer_line_spec(), 6),
+            "integer-plane": (integer_plane_spec(), 5),
+            "free-rank-2": (free_rank2_spec(), 5),
+            "heisenberg": (heisenberg_spec(), 3),
+            "line-two-three": (two_three, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(_table_specs()))
+def test_translations_from_generator_tables_match_products(name):
+    spec, top = _table_specs()[name]
+    geo = GroupGeometry(spec)  # cold: every table is composed here
+    for dst in range(top + 1):
+        for g in geo.ball(dst):
+            length = geo.word_length(g, dst)
+            for src in range(dst - length + 1):
+                expected = tuple(geo.position(h * g, dst) for h in geo.ball(src))
+                assert geo.right_translation(src, g, dst) == expected
+    # a product leaving the destination ball is refused
+    far = geo.element_at(geo.ball_size(top) - 1)
+    with pytest.raises(ValueError):
+        geo.right_translation(1, far, top)
+    with pytest.raises(ValueError):
+        geo.right_translation(0, far, top - 1)
+    with pytest.raises(ValueError):
+        geo.right_translation(-1, spec.identity(), top)
+
+
+def test_finite_group_translations_wrap_inside_the_ball():
+    geo = GroupGeometry(GroupSpec(CyclicGroup(5)))
+    for g in geo.ball(2):
+        expected = tuple(geo.position(h * g, 2) for h in geo.ball(2))
+        assert geo.right_translation(2, g, 2) == expected
+
+
+@pytest.mark.parametrize("name", sorted(_table_specs()))
+def test_step_tables_list_left_generator_neighbours(name):
+    spec, top = _table_specs()[name]
+    geo = GroupGeometry(spec)
+    for radius in range(top + 1):
+        ball = geo.ball(radius)
+        index = {g: i for i, g in enumerate(ball)}
+        expected = tuple(
+            tuple((ai, index[a * g]) for ai, a in enumerate(spec.generators)
+                  if a * g in index)
+            for g in ball)
+        assert geo.step_table(radius) == expected
+
+
+@pytest.mark.parametrize("name", sorted(_table_specs()))
+def test_words_follow_the_parent_pointers_geodesically(name):
+    spec, top = _table_specs()[name]
+    geo = GroupGeometry(spec)
+    for g in geo.ball(top):
+        word = geo.word(g, top)
+        assert len(word) == geo.word_length(g, top)
+        prod = spec.identity()
+        for letter in word:
+            prod = prod * letter
+        assert prod == g
+        assert rewrite_generator(g, spec, top) == word
+    assert geo.word(geo.element_at(geo.ball_size(top) - 1), top - 1) is None

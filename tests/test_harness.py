@@ -11,6 +11,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from shadowlab import harness
 from shadowlab.cli import main
 from shadowlab.errors import ConfigError
 from shadowlab.harness import (
@@ -136,6 +137,16 @@ def test_trace_rejects_a_uniqueness_scan_beyond_the_field():
         run_config(cfg)
     report, _ = run_config(_trace_config(uniqueness={"eta": "1/2", "scan_radius": 4}))
     assert report["results"]["uniqueness"]["scan_radius"] == 4
+
+
+def test_trace_rejects_a_scan_beyond_the_field_before_generating(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the field was generated")
+
+    monkeypatch.setattr(harness, "generate_pseudo_orbit", unreachable)
+    with pytest.raises(ConfigError, match=r"^scan_radius 6 exceeds the field "
+                                          r"radius 4$"):
+        run_config(_trace_config(scan_radius=6))
 
 
 def test_synthesize_run_round_trips_the_window():
@@ -357,6 +368,14 @@ def test_cli_unconvergent_backward_iteration_is_exit_three(tmp_path, capsys):
     assert err.startswith("capacity exceeded: backward iteration did not "
                           "converge within max_iter=500 steps; last step size ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_scan_beyond_the_field_is_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", _trace_config(scan_radius=6))
+    assert main(["run", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: scan_radius 6 exceeds the field radius 4\n"
 
 
 def test_cli_uniqueness_scan_beyond_the_field_is_exit_two(tmp_path, capsys):

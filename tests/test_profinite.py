@@ -158,13 +158,15 @@ def test_corrupted_chain_field_fails_the_shared_step_check():
     act = partial(act_point, chain)
     gens = chain.spec.generators
     delta = Fraction(1, 2 ** 3)
-    faces = step_distances(act, level_distance, ball, entries, gens)
+    faces = step_distances(lambda a, x: act(gens[a], x), level_distance,
+                           chain.geometry, 3, entries)
     # an exact orbit: one face per indexed step, none refutes
     assert len(faces) == 2 * len(ball) - 2
     assert not any(refutes(d, delta) for d in faces)
     one = GroupElement(IntegerLattice(1), (1,))
     entries[1] = act_point(chain, one, entries[1])  # moves its level-1 class
-    faces = step_distances(act, level_distance, ball, entries, gens)
+    faces = step_distances(lambda a, x: act(gens[a], x), level_distance,
+                           chain.geometry, 3, entries)
     refuting = [d for d in faces if refutes(d, delta)]
     assert refuting and all(d.value == 1 for d in refuting)
 

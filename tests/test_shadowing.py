@@ -519,3 +519,76 @@ def test_pair_and_sampled_scans_match_the_definitions(group):
                                     Random(seed))
                                 == _ref_sampled(space, sft, eta, epsilon,
                                                 radius, w, 12, Random(seed)))
+
+
+# group: (SFT, field radius, plan, inner radius); every case perturbs a layer
+_FLIP_CASES = {
+    "line": (golden_mean_sft, 4, potp_modulus(1, Fraction(1, 4)), 7),
+    "plane": (hard_square_sft, 2, potp_modulus(1, Fraction(1, 4)), 7),
+    "free": (one_forbidden_window_sft, 1,
+             TracingPlan(1, Fraction(1, 4), 2, Fraction(1, 8)), 6),
+    "heisenberg": (one_forbidden_window_sft, 1,
+                   TracingPlan(1, Fraction(1, 4), 2, Fraction(1, 8)), 6),
+}
+
+
+def _ref_flip_entries(sft, radius, plan, seed, inner, attempts):
+    """random_flip entries with every flip checked over the whole ball."""
+    space = sft.space
+    geo = space.geometry
+    rng = Random(seed)
+    base = random_admissible(space, sft, radius + inner, rng)
+    seeds = [rng.getrandbits(64) for _ in range(geo.ball_size(radius))]
+    kept = geo.ball_size(min(plan.modulus + 3, inner))
+    size = geo.ball_size(inner)
+    out = []
+    for gi, g in enumerate(geo.ball(radius)):
+        cells = list(shift(g, base).restrict(inner).cells)
+        sub = Random(seeds[gi])
+        for _ in range(attempts):
+            pos = sub.randrange(kept, size)
+            old = cells[pos]
+            cells[pos] = sub.randrange(space.alphabet.size)
+            if not locally_admissible(Configuration(space, inner, tuple(cells)), sft):
+                cells[pos] = old
+        out.append(Configuration(space, inner, tuple(cells)))
+    return out
+
+
+@pytest.mark.parametrize("group", sorted(_FLIP_CASES))
+def test_flip_fields_match_the_whole_ball_check_draw_for_draw(group):
+    build, radius, plan, inner = _FLIP_CASES[group]
+    sft = build(ShiftSpace(GroupGeometry(_GROUP_SPECS[group]())))
+    flipped = 0
+    for seed in range(4):
+        orb = generate_pseudo_orbit(sft, radius, plan, Random(seed),
+                                    mode="random_flip", inner_radius=inner,
+                                    flip_attempts=24)
+        assert list(orb.entries) == _ref_flip_entries(sft, radius, plan, seed,
+                                                      inner, 24)
+        flipped += orb.perturbation_count
+    assert flipped  # some flips were accepted, so both paths were taken
+
+
+@pytest.mark.parametrize("group", sorted(_FLIP_CASES))
+def test_step_profile_matches_the_element_loop(group):
+    build, radius, plan, inner = _FLIP_CASES[group]
+    sft = build(ShiftSpace(GroupGeometry(_GROUP_SPECS[group]())))
+    for seed in range(2):
+        for mode in ("exact_orbit", "perturbed_orbit", "random_flip"):
+            orb = generate_pseudo_orbit(sft, radius, plan, Random(seed),
+                                        mode=mode, inner_radius=inner)
+            assert delta_profile(orb) == _ref_step_profile(orb)
+            # hand corruption: one entry's cell in layer 1, then a deep one
+            for layer in (1, inner):
+                entries = list(orb.entries)
+                victim = len(entries) - 1 - seed
+                cells = list(entries[victim].cells)
+                pos = orb.space.geometry.ball_size(layer) - 1
+                cells[pos] = 1 - cells[pos]
+                entries[victim] = Configuration(orb.space, inner, tuple(cells))
+                broken = PseudoOrbit(orb.space, sft, radius, inner, orb.delta,
+                                     tuple(entries), mode, ())
+                assert delta_profile(broken) == _ref_step_profile(broken)
+                if layer == 1:
+                    assert not delta_profile(broken)[0]

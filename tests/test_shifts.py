@@ -503,3 +503,16 @@ def test_shift_and_distance_match_the_cell_loops(name):
                 y = Configuration(space, other, y_cells)
                 assert distance(x, y) == _ref_distance(x, y)
                 assert distance(y, x) == _ref_distance(y, x)
+
+
+def test_wide_alphabet_fill_memoises_at_most_one_order_per_node():
+    # 12! candidate orders: the fill memoises only the ones it draws
+    space = ShiftSpace(GroupGeometry(integer_line_spec()),
+                       Alphabet(tuple(f"s{k}" for k in range(12))))
+    sft = _random_sft(space, 1, 5, 0.9)  # dense enough to backtrack a lot
+    for seed in range(6):
+        ours, ref = _fill_pair(space, sft, 5, seed, node_budget=5000)
+        assert _outcome(ours, 25) == _outcome(ref, 25)
+        assert ours.rng.getstate() == ref.rng.getstate()
+        assert 0 < len(ours.orders) <= ours.nodes
+        assert all(sorted(order) == list(range(12)) for order in ours.orders.values())
