@@ -9,7 +9,6 @@ harness with a CLI (``harness``, ``cli``).
 
 from .errors import CapacityError, ConfigError, GenerationError, ShadowlabError
 from .groups import (
-    CyclicGroup,
     FreeGroup,
     GroupElement,
     GroupGeometry,
@@ -31,7 +30,6 @@ from .shifts import (
     SftSpec,
     ShiftSpace,
     allowed_blocks,
-    allowed_blocks_exact_finite,
     allowed_blocks_exact_line,
     distance,
     enumerate_admissible,
@@ -66,13 +64,10 @@ from .torus import (
     CAT_MATRIX,
     FourierDisplacement,
     PerturbedMap,
-    commuting_action,
     expansiveness_certificate,
     generating_set_transfer,
     heisenberg_block_action,
-    lattice_grid,
     random_displacement,
-    relation_defect_report,
     spectral_splitting,
     stability_report,
 )

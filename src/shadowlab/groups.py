@@ -1,6 +1,6 @@
 """Finitely generated groups with exact arithmetic on normal forms.
 
-Four concrete families are provided:
+Three concrete families are provided:
 
 * ``IntegerLattice(dimension)``: elements are integer vectors, written additively.
 * ``FreeGroup(rank)``: elements are freely reduced words; a letter is a nonzero
@@ -10,7 +10,6 @@ Four concrete families are provided:
   multiplication law is
       (p1, q1, r1) * (p2, q2, r2) = (p1 + p2, q1 + q2, r1 + r2 - p2 * q1)
   which follows from pushing b^q1 past a^p2 (each swap emits c^-1).
-* ``CyclicGroup(order)``: residues mod n, written additively.
 
 Word metrics, Cayley balls and geodesic rewriting are computed by breadth
 first search, never by closed forms; closed-form counts are only ever used in
@@ -29,6 +28,7 @@ ELEMENT_BUDGET = 1_000_000
 SPAN_CHECK_RADIUS = 8
 
 _FREE_LETTERS = "xyzw"
+_double = (2).__mul__
 
 
 def _free_letter_name(k: int) -> str:
@@ -184,43 +184,6 @@ class HeisenbergGroup:
 
 
 @dataclass(frozen=True)
-class CyclicGroup:
-    """Z/nZ written additively; payloads are residues in range(n)."""
-
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError("order must be at least 2")
-
-    @property
-    def name(self) -> str:
-        return f"cyclic_{self.order}"
-
-    def identity_payload(self):
-        return 0
-
-    def multiply_payload(self, a, b):
-        return (a + b) % self.order
-
-    def inverse_payload(self, a):
-        return (-a) % self.order
-
-    def validate_payload(self, a) -> None:
-        if not isinstance(a, int) or not 0 <= a < self.order:
-            raise ValueError(f"bad residue {a!r} for order {self.order}")
-
-    def sort_key(self, a):
-        return a
-
-    def label(self, a) -> str:
-        return f"{a} mod {self.order}"
-
-    def canonical_generator_payloads(self):
-        return [1 % self.order, (-1) % self.order]
-
-
-@dataclass(frozen=True)
 class GroupElement:
     """A group element: a family descriptor plus a normal-form payload."""
 
@@ -229,6 +192,9 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         self.family.validate_payload(self.payload)
+        # CPython hashes -1 like -2; doubled letters are even, never -1, so
+        # no two letters share a hash.  Kept, as every index lookup hashes.
+        object.__setattr__(self, "_hash", hash(tuple(map(_double, self.payload))))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
@@ -236,13 +202,8 @@ class GroupElement:
     def __invert__(self) -> "GroupElement":
         return inverse(self)
 
-    def __pow__(self, n: int) -> "GroupElement":
-        if n < 0:
-            return inverse(self) ** (-n)
-        out = identity(self.family)
-        for _ in range(n):
-            out = out * self
-        return out
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_identity(self) -> bool:
@@ -341,7 +302,6 @@ class GroupGeometry:
         self._via: list[int] = [-1]
         self._mul: list[list[int]] = [[] for _ in spec.generators]
         self._ball_sizes: list[int] = [1]  # ball_sizes[k] == |ball(k)|
-        self._saturated = False
         self._translations: dict[tuple[int, GroupElement, int], tuple[int, ...]] = {}
         self._step_tables: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
 
@@ -353,9 +313,6 @@ class GroupGeometry:
         return len(self._ball_sizes) - 1
 
     def _grow_one_layer(self) -> None:
-        if self._saturated:
-            self._ball_sizes.append(self._ball_sizes[-1])
-            return
         key = self.family.sort_key
         index = self._index
         gens = self.spec.generators
@@ -382,8 +339,6 @@ class GroupGeometry:
         for k, j in enumerate(found):
             self._mul[k % len(gens)].append(index[products[k]] if j is None else j)
         self._ball_sizes.append(len(self._elements))
-        if not layer:
-            self._saturated = True
 
     def ensure_radius(self, k: int) -> None:
         while self.max_radius_built() < k:
@@ -411,16 +366,12 @@ class GroupGeometry:
     def layer_of_position(self, i: int) -> int:
         return self._layers[i]
 
-    def element_at(self, i: int) -> GroupElement:
-        return self._elements[i]
-
     def word_length(self, g: GroupElement, max_radius: int) -> Optional[int]:
         """BFS word length of g, or None if it exceeds max_radius."""
         if g.family != self.family:
             raise ValueError("element from a different family")
         i = self._index.get(g)
-        while (i is None and self.max_radius_built() < max_radius
-               and not self._saturated):
+        while i is None and self.max_radius_built() < max_radius:
             self._grow_one_layer()
             i = self._index.get(g)
         if i is None or self._layers[i] > max_radius:

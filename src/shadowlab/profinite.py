@@ -42,6 +42,7 @@ from .shadowing import step_distances, trace_distances
 from .shifts import DyadicDistance, refutes
 
 _WORD_SEARCH_RADIUS = 32
+_TABLE_COLUMNS = ("level", "index", "parent")
 
 
 class QuotientChain:
@@ -52,8 +53,6 @@ class QuotientChain:
     permutation per generator per level).  Only free abelian acting groups
     are accepted: for them, commutation of the generator tables (checked
     here) makes the word-composed action of arbitrary elements well defined.
-    Finite acting groups are rejected outright; their chains stabilize and
-    the truncated theory collapses to the finite group itself.
     """
 
     def __init__(self, spec: GroupSpec, level_sizes: list[int],
@@ -226,25 +225,29 @@ def plane_lattice_chain(depth: int) -> QuotientChain:
     return QuotientChain(spec, sizes, parents, tables)
 
 
-def chain_from_csv(path: str, spec: Optional[GroupSpec] = None) -> QuotientChain:
-    """Load a chain from a coset table file.
+def chain_from_csv(path: str) -> QuotientChain:
+    """Load a chain from a coset table file, as ``chain_to_csv`` writes it.
 
     Expected columns: level, index, parent (use -1 at level 0), then one
-    image column per generator, named by the generator's label.
+    image column per generator of Z^d, named by the generator's label; d is
+    the number of coordinates in the first action column's label.
     """
-    if spec is None:
-        spec = integer_line_spec()
-    labels = {spec.family.label(g.payload): g for g in spec.generators}
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty coset table")
+        missing = [c for c in _TABLE_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}: missing table columns {missing}")
+        actions = [c for c in reader.fieldnames if c not in _TABLE_COLUMNS]
+        d = actions[0].count(",") + 1 if actions else 1
+        # Z^d has 2d generators, so a label cannot claim more coordinates
+        spec = GroupSpec(IntegerLattice(max(1, min(d, len(actions) // 2))))
+        labels = {spec.family.label(g.payload): g for g in spec.generators}
         missing = set(labels) - set(reader.fieldnames)
         if missing:
             raise ValueError(f"{path}: missing action columns {sorted(missing)}")
-        for row in reader:
-            rows.append(row)
+        rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no table rows")
     depth = max(int(r["level"]) for r in rows)
@@ -274,7 +277,7 @@ def chain_to_csv(chain: QuotientChain, path: str) -> None:
               for g in chain.spec.generators]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["level", "index", "parent"] + [lb for lb, _ in labels])
+        writer.writerow(list(_TABLE_COLUMNS) + [lb for lb, _ in labels])
         for n in range(chain.depth + 1):
             for i in range(chain.level_sizes[n]):
                 parent = chain.parents[n][i] if n >= 1 else -1

@@ -34,7 +34,6 @@ from typing import Callable, Optional, Sequence
 
 from .errors import CapacityError, GenerationError
 from .shifts import (
-    NODE_BUDGET,
     Configuration,
     DyadicDistance,
     SftSpec,
@@ -49,6 +48,8 @@ from .shifts import (
     refutes,
     shift,
 )
+
+PASSER_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,7 @@ def delta_profile(orbit: PseudoOrbit) -> tuple[bool, Fraction, int]:
 def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
                           rng: Random, mode: str = "perturbed_orbit",
                           inner_radius: Optional[int] = None,
-                          flip_attempts: int = 16,
-                          node_budget: int = NODE_BUDGET) -> PseudoOrbit:
+                          flip_attempts: int = 16) -> PseudoOrbit:
     """Build a delta step field around a random admissible orbit segment.
 
     Modes: ``exact_orbit`` uses untouched orbit restrictions; ``perturbed_orbit``
@@ -161,7 +161,7 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
     if r_in < plan.modulus + 2:
         raise ValueError("inner radius must be at least m+2 to keep the step "
                          "condition certifiable")
-    base = random_admissible(space, sft, radius + r_in, rng, node_budget=node_budget)
+    base = random_admissible(space, sft, radius + r_in, rng)
     seeds = [rng.getrandbits(64) for _ in range(geo.ball_size(radius))]
     kept = geo.ball_size(min(plan.modulus + 3, r_in))  # the preserved layers
     inner_size = geo.ball_size(r_in)
@@ -177,8 +177,7 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
         sub = Random(seeds[gi])
         if mode == "perturbed_orbit":
             entry = random_admissible(space, sft, r_in, sub,
-                                      prefix=exact.cells[:kept],
-                                      node_budget=node_budget)
+                                      prefix=exact.cells[:kept])
         else:
             # exact is admissible and so is every accepted flip, so only
             # the windows holding the flipped cell can reject a flip
@@ -272,16 +271,15 @@ class UniquenessReport:
 
 def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
                     scan_radius: Optional[int] = None,
-                    comparison_cap: Optional[int] = None,
-                    node_budget: int = NODE_BUDGET,
-                    sample_limit: int = 8) -> UniquenessReport:
+                    comparison_cap: Optional[int] = None) -> UniquenessReport:
     """Count locally admissible configurations that survive the tracing test.
 
     Only meaningful when 2*epsilon is below the separation constant eta;
     otherwise the report is marked not applicable and nothing is scanned.
     Comparison radii are capped (default: at m) so the scan asks exactly the
     question the tolerance can answer; passers are counted both outright and
-    by their restriction to ball(min(m, R)).
+    by their restriction to ball(min(m, R)); the first ``PASSER_SAMPLES``
+    passers are reported.
     """
     eta = Fraction(eta)
     if not 2 * plan.epsilon < eta:
@@ -299,15 +297,14 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
     core_size = geo.ball_size(min(plan.modulus, orbit.radius))
     passers = []
     scanned = 0
-    for cells in enumerate_admissible(space, orbit.sft, orbit.radius,
-                                      node_budget=node_budget):
+    for cells in enumerate_admissible(space, orbit.sft, orbit.radius):
         scanned += 1
         y = Configuration(space, orbit.radius, cells)
         if not any(refutes(d, plan.epsilon)
                    for d in trace_distances(shift, distance, ball, y, targets)):
             passers.append(y)
     cores = {y.cells[:core_size] for y in passers}
-    samples = tuple(y.serialize() for y in passers[:sample_limit])
+    samples = tuple(y.serialize() for y in passers[:PASSER_SAMPLES])
     return UniquenessReport(True, eta, scan_radius, cap, scanned,
                             len(passers), len(cores), samples)
 
@@ -406,13 +403,11 @@ def separation_window_flip_scan(space: ShiftSpace, eta: Fraction,
 
 def separation_window_pair_scan(space: ShiftSpace, sft: SftSpec, eta: Fraction,
                                 epsilon: Fraction, test_radius: int,
-                                max_window: int,
-                                node_budget: int = NODE_BUDGET) -> WindowScanResult:
+                                max_window: int) -> WindowScanResult:
     """Literal all-pairs window search; exact but exponential in the ball size."""
     eta = Fraction(eta)
     epsilon = Fraction(epsilon)
-    configs = list(enumerate_admissible(space, sft, test_radius,
-                                        node_budget=node_budget))
+    configs = list(enumerate_admissible(space, sft, test_radius))
     fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
     needed = 0
     pairs = 0
@@ -488,8 +483,8 @@ def separation_window_exhaustive_check(space: ShiftSpace, eta: Fraction,
 
 def separation_window_sampled(space: ShiftSpace, sft: SftSpec, eta: Fraction,
                               epsilon: Fraction, test_radius: int,
-                              max_window: int, samples: int, rng: Random,
-                              node_budget: int = NODE_BUDGET) -> WindowScanResult:
+                              max_window: int, samples: int,
+                              rng: Random) -> WindowScanResult:
     """Randomized evidence for constrained spaces: samples admissible pairs.
 
     The result is a lower bound on the window, never a proof.
@@ -501,8 +496,8 @@ def separation_window_sampled(space: ShiftSpace, sft: SftSpec, eta: Fraction,
     scanned = 0
     witness = "no sampled pair forced a larger window"
     for _ in range(samples):
-        x = random_admissible(space, sft, test_radius, rng, node_budget=node_budget)
-        y = random_admissible(space, sft, test_radius, rng, node_budget=node_budget)
+        x = random_admissible(space, sft, test_radius, rng)
+        y = random_admissible(space, sft, test_radius, rng)
         d = _disagreement(x.cells, y.cells)
         if not fails & d & -d:
             continue
@@ -519,22 +514,20 @@ def separation_window_sampled(space: ShiftSpace, sft: SftSpec, eta: Fraction,
                             scanned, witness)
 
 
-def synthesize_window_spec(sft: SftSpec, modulus: int, slack: int,
-                           node_budget: int = NODE_BUDGET) -> SftSpec:
+def synthesize_window_spec(sft: SftSpec, modulus: int, slack: int) -> SftSpec:
     """Re-present an SFT by windows on ball(modulus + 1).
 
     The allowed set is the slack approximation of the block set at radius
     m+1; everything else on that ball is declared forbidden.
     """
-    allowed = frozenset(allowed_blocks(sft, modulus + 1, slack, node_budget=node_budget))
+    allowed = frozenset(allowed_blocks(sft, modulus + 1, slack))
     return SftSpec(sft.space, modulus + 1, allowed)
 
 
-def admissible_sets_agree(a: SftSpec, b: SftSpec, radius: int,
-                          node_budget: int = NODE_BUDGET) -> bool:
+def admissible_sets_agree(a: SftSpec, b: SftSpec, radius: int) -> bool:
     """Do two window presentations admit the same configurations on ball(radius)?"""
     if a.space != b.space:
         raise ValueError("window presentations live on different spaces")
-    left = frozenset(enumerate_admissible(a.space, a, radius, node_budget=node_budget))
-    right = frozenset(enumerate_admissible(b.space, b, radius, node_budget=node_budget))
+    left = frozenset(enumerate_admissible(a.space, a, radius))
+    right = frozenset(enumerate_admissible(b.space, b, radius))
     return left == right

@@ -16,8 +16,8 @@ smaller of the two.
 Local admissibility quantifies windows over every position whose whole window
 fits in the ball.  Global admissibility is undecidable for general groups, so
 ``allowed_blocks`` computes a slack approximation (extendability to a larger
-ball); exact block sets are available for the integer line (transfer graph)
-and for finite groups (exhaustion).
+ball); the exact block set is available for the integer line (transfer
+graph).
 """
 
 from __future__ import annotations
@@ -150,9 +150,6 @@ class Configuration:
                 f"configuration on ball({self.radius}) needs {expected} cells, "
                 f"got {len(self.cells)}")
 
-    def value_at(self, g: GroupElement) -> int:
-        return self.cells[self.space.geometry.position(g, self.radius)]
-
     def restrict(self, radius: int) -> "Configuration":
         if radius > self.radius:
             raise ValueError("cannot restrict to a larger radius")
@@ -164,16 +161,6 @@ class Configuration:
         if all(len(s) == 1 for s in labels):
             return f"r={self.radius};" + "".join(labels)
         return f"r={self.radius};" + ",".join(labels)
-
-
-def parse_configuration(space: ShiftSpace, text: str) -> Configuration:
-    head, _, body = text.partition(";")
-    if not head.startswith("r="):
-        raise ValueError(f"bad configuration header in {text!r}")
-    radius = int(head[2:])
-    labels = body.split(",") if "," in body else list(body)
-    cells = tuple(space.alphabet.index(s) for s in labels)
-    return Configuration(space, radius, cells)
 
 
 @dataclass(frozen=True)
@@ -291,22 +278,12 @@ def full_shift(space: ShiftSpace) -> SftSpec:
 
 def locally_admissible(x: Configuration, sft: SftSpec) -> bool:
     """Every window wholly inside the ball carries an allowed pattern."""
-    return not violations(x, sft, first_only=True)
-
-
-def violations(x: Configuration, sft: SftSpec, first_only: bool = False) -> list[int]:
-    """Ball indices g whose window pattern is not allowed."""
     if x.space != sft.space:
         raise ValueError("configuration and SFT live on different spaces")
-    out: list[int] = []
     cells = x.cells
     allowed = sft.allowed
-    for gi, read in enumerate(x.space.window_readers(x.radius, sft.window_radius)):
-        if read(cells) not in allowed:
-            out.append(gi)
-            if first_only:
-                return out
-    return out
+    return all(read(cells) in allowed
+               for read in x.space.window_readers(x.radius, sft.window_radius))
 
 
 def _candidate_order(n: int, code: int) -> tuple[int, ...]:
@@ -325,13 +302,13 @@ class _Fill:
     A descent allocates nothing: its candidate order (range(n) without an
     RNG) is a tuple memoised in ``orders`` by its draw code, at most one per
     node, and per-position lists made once per search keep each position's
-    order and its count of untried candidates, tried from the back.
+    order and its count of untried candidates, tried from the back.  A search
+    visits at most ``NODE_BUDGET`` nodes, read when it starts.
     """
 
     def __init__(self, space: ShiftSpace, sft: SftSpec, radius: int,
                  prefix: Optional[tuple[int, ...]] = None,
-                 rng: Optional[Random] = None,
-                 node_budget: int = NODE_BUDGET):
+                 rng: Optional[Random] = None):
         self.space = space
         self.sft = sft
         self.radius = radius
@@ -339,7 +316,6 @@ class _Fill:
         self.plan = space.window_plan(radius, sft.window_radius)
         self.prefix = prefix or ()
         self.rng = rng
-        self.node_budget = node_budget
         self.nodes = 0
         self.orders: dict[int, tuple[int, ...]] = {}
         if len(self.prefix) > self.size:
@@ -369,7 +345,7 @@ class _Fill:
         order_at: list[tuple[int, ...]] = [natural] * self.size
         untried_at = [0] * self.size
         last = self.size - 1
-        budget = self.node_budget
+        budget = NODE_BUDGET
         nodes = self.nodes
         pos = start - 1
         emitted = 0
@@ -425,32 +401,28 @@ class _Fill:
 
 
 def random_admissible(space: ShiftSpace, sft: SftSpec, radius: int, rng: Random,
-                      prefix: Optional[tuple[int, ...]] = None,
-                      node_budget: int = NODE_BUDGET) -> Configuration:
-    fill = _Fill(space, sft, radius, prefix=prefix, rng=rng, node_budget=node_budget)
+                      prefix: Optional[tuple[int, ...]] = None) -> Configuration:
+    fill = _Fill(space, sft, radius, prefix=prefix, rng=rng)
     for cells in fill.solutions(limit=1):
         return Configuration(space, radius, cells)
     raise GenerationError(
         f"no locally admissible configuration on ball({radius}) with the given prefix")
 
 
-def enumerate_admissible(space: ShiftSpace, sft: SftSpec, radius: int,
-                         node_budget: int = NODE_BUDGET,
-                         limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    fill = _Fill(space, sft, radius, rng=None, node_budget=node_budget)
-    return fill.solutions(limit=limit)
+def enumerate_admissible(space: ShiftSpace, sft: SftSpec,
+                         radius: int) -> Iterator[tuple[int, ...]]:
+    return _Fill(space, sft, radius).solutions()
 
 
-def allowed_blocks(sft: SftSpec, k: int, slack: int,
-                   node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], ...]:
+def allowed_blocks(sft: SftSpec, k: int, slack: int) -> tuple[tuple[int, ...], ...]:
     """Cells on ball(k), sorted, extendable to a locally admissible assignment on
     ball(k + slack).  Shrinks toward the exact block set as slack grows."""
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     space = sft.space
     out = []
-    for base in enumerate_admissible(space, sft, k, node_budget=node_budget):
-        fill = _Fill(space, sft, k + slack, prefix=base, node_budget=node_budget)
+    for base in enumerate_admissible(space, sft, k):
+        fill = _Fill(space, sft, k + slack, prefix=base)
         if next(fill.solutions(limit=1), None) is not None:
             out.append(base)
     return tuple(sorted(out))
@@ -464,18 +436,6 @@ def _line_index_map(space: ShiftSpace, radius: int) -> list[int]:
     geo = space.geometry
     return [geo.position(GroupElement(family, (p,)), radius)
             for p in range(-radius, radius + 1)]
-
-
-def configuration_from_line(space: ShiftSpace, radius: int, text: str) -> Configuration:
-    """Build a line configuration from symbols listed left to right."""
-    labels = list(text)
-    if len(labels) != 2 * radius + 1:
-        raise ValueError("line text length must be 2*radius + 1")
-    idxs = _line_index_map(space, radius)
-    cells = [0] * len(idxs)
-    for line_pos, ball_pos in enumerate(idxs):
-        cells[ball_pos] = space.alphabet.index(labels[line_pos])
-    return Configuration(space, radius, tuple(cells))
 
 
 def line_words_of(sft: SftSpec) -> frozenset[tuple[int, ...]]:
@@ -503,8 +463,7 @@ def _transfer_core(words: frozenset[tuple[int, ...]]) -> set[tuple[int, ...]]:
     return core
 
 
-def allowed_blocks_exact_line(sft: SftSpec, k: int,
-                              node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], ...]:
+def allowed_blocks_exact_line(sft: SftSpec, k: int) -> tuple[tuple[int, ...], ...]:
     """Exact block set over the integer line via transfer-graph reachability,
     as sorted cell tuples on ball(k)."""
     space = sft.space
@@ -525,7 +484,7 @@ def allowed_blocks_exact_line(sft: SftSpec, k: int,
         while stack:
             word, state = stack.pop()
             nodes += 1
-            if nodes > node_budget:
+            if nodes > NODE_BUDGET:
                 raise CapacityError("transfer-graph walk exceeded its node budget")
             if len(word) == length:
                 found.add(word)
@@ -540,32 +499,6 @@ def allowed_blocks_exact_line(sft: SftSpec, k: int,
             cells[ball_pos] = word[line_pos]
         out.add(tuple(cells))
     return tuple(sorted(out))
-
-
-def allowed_blocks_exact_finite(sft: SftSpec, k: int,
-                                node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], ...]:
-    """Exact block set for a finite group by exhausting total configurations,
-    as sorted cell tuples on ball(min(k, diameter))."""
-    space = sft.space
-    geo = space.geometry
-    radius = 0
-    while geo.ball_size(radius + 1) > geo.ball_size(radius):
-        radius += 1
-        if geo.ball_size(radius) > 10_000:
-            raise CapacityError("group too large for exhaustive block counting")
-    total = geo.ball_size(radius)
-    n = space.alphabet.size
-    if n ** total > node_budget:
-        raise CapacityError(f"{n}^{total} total configurations exceed the budget")
-    tables = [geo.right_translation(sft.window_radius, g, radius)
-              for g in geo.ball(radius)]
-    k_eff = min(k, radius)
-    cut = geo.ball_size(k_eff)
-    found = set()
-    for cells in itertools.product(range(n), repeat=total):
-        if all(tuple(cells[i] for i in t) in sft.allowed for t in tables):
-            found.add(cells[:cut])
-    return tuple(sorted(found))
 
 
 def golden_mean_sft(space: ShiftSpace) -> SftSpec:

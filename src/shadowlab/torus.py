@@ -25,6 +25,15 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 CAT_MATRIX: IntMatrix = ((2, 1), (1, 1))
 
+# eigenvalue moduli this close to 1 count as on the unit circle numerically
+NUMERIC_BAND = 1e-9
+# backward iteration stops at a step below BACKWARD_TOL and refuses after
+# BACKWARD_MAX_ITER steps
+BACKWARD_TOL = 1e-13
+BACKWARD_MAX_ITER = 500
+# h-images closer than this count as collided
+COLLISION_RESOLUTION = 1e-6
+
 
 def as_int_matrix(rows) -> IntMatrix:
     M = tuple(tuple(int(v) for v in row) for row in rows)
@@ -101,8 +110,7 @@ class ExpansivenessCertificate:
         return self.verdict == "expansive"
 
 
-def expansiveness_certificate(A: IntMatrix,
-                              numeric_band: float = 1e-9) -> ExpansivenessCertificate:
+def expansiveness_certificate(A: IntMatrix) -> ExpansivenessCertificate:
     """Decide whether the automorphism has no eigenvalue on the unit circle.
 
     Fast path: numeric eigenvalues, accepted only when they sit clearly off
@@ -114,7 +122,7 @@ def expansiveness_certificate(A: IntMatrix,
     """
     eigs = np.linalg.eigvals(np.array(A, dtype=float))
     gaps = np.abs(np.abs(eigs) - 1.0)
-    if gaps.min() > numeric_band:
+    if gaps.min() > NUMERIC_BAND:
         verdict = "expansive"
         return ExpansivenessCertificate(
             verdict, "numeric",
@@ -176,7 +184,7 @@ class SpectralSplitting:
         return 1.0 / (1.0 - self.rate_stable) + 1.0 / (1.0 - 1.0 / self.rate_unstable)
 
 
-def spectral_splitting(A: IntMatrix, tol: float = 1e-9) -> SpectralSplitting:
+def spectral_splitting(A: IntMatrix) -> SpectralSplitting:
     """Split R^n into the A-invariant contracting and expanding subspaces.
 
     Two sorted real Schur forms supply orthonormal bases whose leading
@@ -188,7 +196,7 @@ def spectral_splitting(A: IntMatrix, tol: float = 1e-9) -> SpectralSplitting:
     n = An.shape[0]
     eigs = np.linalg.eigvals(An)
     mods = np.abs(eigs)
-    if np.any(np.abs(mods - 1.0) <= tol):
+    if np.any(np.abs(mods - 1.0) <= NUMERIC_BAND):
         raise ValueError("matrix has (numerically) unit-modulus spectrum; "
                          "no hyperbolic splitting")
     stable_mods = mods[mods < 1.0]
@@ -305,27 +313,27 @@ class PerturbedMap:
         An = np.array(self.matrix, dtype=float)
         return (pts @ An.T + self.displacement(pts)) % 1.0
 
-    def backward(self, pts: np.ndarray, tol: float = 1e-13,
-                 max_iter: int = 500) -> np.ndarray:
+    def backward(self, pts: np.ndarray) -> np.ndarray:
         """Unique preimage via x <- A^-1 (z - p(x)); converges by contraction.
 
-        Raises CapacityError when ``max_iter`` steps do not bring the step
-        size below ``tol``, as happens in floating point once the iterates
-        are large enough that ``tol`` is below their resolution.
+        Raises CapacityError when ``BACKWARD_MAX_ITER`` steps do not bring the
+        step size below ``BACKWARD_TOL``, as happens in floating point once
+        the iterates are large enough that the tolerance is below their
+        resolution.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         inv = np.array(mat_inverse_unimodular(self.matrix), dtype=float)
         x = pts @ inv.T
         step = math.inf
-        for _ in range(max_iter):
+        for _ in range(BACKWARD_MAX_ITER):
             nxt = (pts - self.displacement(x)) @ inv.T
             step = np.max(np.abs(nxt - x))
-            if step < tol:
+            if step < BACKWARD_TOL:
                 return nxt % 1.0
             x = nxt
         raise CapacityError(f"backward iteration did not converge within "
-                            f"max_iter={max_iter} steps; last step size "
-                            f"{step:.3e}, tolerance {tol:.0e}")
+                            f"max_iter={BACKWARD_MAX_ITER} steps; last step size "
+                            f"{step:.3e}, tolerance {BACKWARD_TOL:.0e}")
 
 
 def correct_segment(A: IntMatrix, splitting: SpectralSplitting,
@@ -425,16 +433,8 @@ def random_grid(dimension: int, count: int, rng: Random) -> np.ndarray:
                      for _ in range(count)])
 
 
-def lattice_grid(dimension: int, per_side: int) -> np.ndarray:
-    """Deterministic grid: per_side evenly spaced points along each axis."""
-    axes = [np.arange(per_side) / per_side] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def stability_report(A: IntMatrix, displacement: FourierDisplacement,
-                     window: int, pts: np.ndarray,
-                     collision_resolution: float = 1e-6
+                     window: int, pts: np.ndarray
                      ) -> tuple[StabilityReport, np.ndarray]:
     """End-to-end topological stability measurement for one automorphism.
 
@@ -455,12 +455,12 @@ def stability_report(A: IntMatrix, displacement: FourierDisplacement,
     delta = displacement.amplitude
     constant = splitting.tracking_constant
     within = sup_disp <= constant * delta + 1e-12
-    separation = 4.0 * constant * delta + 4.0 * collision_resolution
+    separation = 4.0 * constant * delta + 4.0 * COLLISION_RESOLUTION
     collisions = 0
     for i in range(pts.shape[0]):
         di = torus_distance(pts[i + 1:], pts[i])
         hi = torus_distance(h_pts[i + 1:], h_pts[i])
-        collisions += int(np.sum((di >= separation) & (hi < collision_resolution)))
+        collisions += int(np.sum((di >= separation) & (hi < COLLISION_RESOLUTION)))
     identity_exact = None
     if delta == 0.0:
         identity_exact = bool(np.array_equal(h_pts, pts % 1.0))
@@ -468,24 +468,6 @@ def stability_report(A: IntMatrix, displacement: FourierDisplacement,
                            float(constant), float(max(residual, residual2)),
                            sup_disp, defect, within, collisions,
                            identity_exact), h_pts
-
-
-def commuting_action(matrices, labels: Optional[tuple[str, ...]] = None):
-    """Validate a tuple of commuting lattice automorphisms (a Z^k action)."""
-    mats = tuple(as_int_matrix(M) for M in matrices)
-    n = len(mats[0])
-    for M in mats:
-        if len(M) != n:
-            raise ValueError("all matrices must share one dimension")
-        if mat_det(M) not in (1, -1):
-            raise ValueError("matrices must have determinant +-1")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mat_mul(mats[i], mats[j]) != mat_mul(mats[j], mats[i]):
-                raise ValueError(f"matrices {i} and {j} do not commute")
-    if labels is None:
-        labels = tuple(f"g{i}" for i in range(len(mats)))
-    return ToralAction(n, labels, mats)
 
 
 @dataclass(frozen=True)
@@ -533,49 +515,6 @@ def heisenberg_block_action(x: IntMatrix, y: IntMatrix) -> ToralAction:
         if mat_mul(M, other) != mat_mul(other, M):
             raise ValueError("central block fails to commute")
     return ToralAction(3 * n, ("a", "b", "c"), (a, b, c))
-
-
-@dataclass(frozen=True)
-class RelationDefectReport:
-    relation_left: str
-    relation_right: str
-    amplitude: float
-    grid_points: int
-    sup_displacement: float
-    relation_defect: float
-
-
-def relation_defect_report(action: ToralAction, relation_left: str,
-                           relation_right: str, amplitude: float,
-                           rng: Random, grid_count: int = 200) -> RelationDefectReport:
-    """Perturb each generator map independently and measure relation drift.
-
-    The two label words multiply to the same group element, so the linear
-    maps satisfy the relation exactly; any drift between the composed
-    perturbed maps comes from the displacements alone and stays within a
-    modest multiple of the amplitude (matrix norms along the words).
-    """
-    maps = {}
-    sup_disp = 0.0
-    pts = random_grid(action.torus_dimension, grid_count, rng)
-    for label in action.labels:
-        disp = random_displacement(action.torus_dimension, amplitude, rng, terms=2)
-        maps[label] = PerturbedMap(action.matrix_for(label), disp)
-        if grid_count:
-            sup_disp = max(sup_disp, float(np.max(np.abs(disp(pts)))))
-
-    def apply_word(word: str, x: np.ndarray) -> np.ndarray:
-        for label in reversed(word):    # rightmost factor acts first
-            x = maps[label].forward(x)
-        return x
-
-    defect = 0.0
-    if grid_count:
-        left = apply_word(relation_left, pts)
-        right = apply_word(relation_right, pts)
-        defect = float(np.max(torus_distance(left, right)))
-    return RelationDefectReport(relation_left, relation_right, amplitude,
-                                grid_count, sup_disp, defect)
 
 
 @dataclass(frozen=True)

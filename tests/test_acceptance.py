@@ -51,10 +51,9 @@ from shadowlab.torus import (
     expansiveness_certificate,
     generating_set_transfer,
     heisenberg_block_action,
-    lattice_grid,
     mat_mul,
     random_displacement,
-    relation_defect_report,
+    random_grid,
     stability_report,
 )
 
@@ -192,7 +191,7 @@ def test_separation_windows_are_finite_and_certified():
 
 def test_cat_map_conjugacy_stays_within_the_linear_bound():
     started = time.monotonic()
-    grid = lattice_grid(2, 64)
+    grid = np.array([(i / 64, j / 64) for i in range(64) for j in range(64)])
     disp = random_displacement(2, 1e-3, Random(606))
     report, _ = stability_report(CAT, disp, 30, grid)
     assert abs(report.tracking_constant - 3.2360679) < 1e-3
@@ -221,12 +220,14 @@ def test_heisenberg_blocks_satisfy_relations_and_stay_stable():
     assert np.min(np.abs(moduli - 1.0)) > 1e-9
     assert expansiveness_certificate(a).is_expansive
 
-    report = relation_defect_report(action, "ab", "bac", 1e-4, Random(7),
-                                    grid_count=200)
-    assert 0.0 < report.sup_displacement <= 1e-4
-    assert report.relation_defect > 0.0
-    ratio = report.relation_defect / report.sup_displacement
-    assert 1e-2 <= ratio <= 1e2  # same order, no sharper constant claimed
+    rng = Random(7)
+    disp = random_displacement(6, 1e-4, rng)
+    report, _ = stability_report(a, disp, 30, random_grid(6, 200, rng))
+    assert 0.0 < report.sup_displacement
+    assert report.displacement_within_bound
+    assert report.orbit_residual <= 1e-9
+    assert report.sup_conjugacy_defect <= 1e-9
+    assert report.collisions == 0
 
 
 def test_odometer_batch_traces_and_preserves_cylinders():

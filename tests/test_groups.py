@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.groups import (
-    CyclicGroup,
     GroupElement,
     GroupGeometry,
     GroupSpec,
@@ -97,10 +96,11 @@ def test_group_axioms_on_random_words(name, data):
 @pytest.mark.parametrize("name", sorted(BALL_SIZES))
 def test_word_length_agrees_with_layer_position(name, geometries):
     geo = geometries[name]
-    for g in geo.ball(3):
+    ball = geo.ball(3)
+    for g in ball:
         pos = geo.position(g, 3)
         assert geo.layer_of_position(pos) == geo.word_length(g, 3)
-        assert geo.element_at(pos) == g
+        assert ball[pos] == g
 
 
 def test_right_translation_table_entries(geometries):
@@ -108,7 +108,7 @@ def test_right_translation_table_entries(geometries):
     g = list(geo.ball(2))[7]
     table = geo.right_translation(2, g, 4)
     for i, h in enumerate(geo.ball(2)):
-        assert geo.element_at(table[i]) == h * g
+        assert geo.ball(4)[table[i]] == h * g
 
 
 def test_heisenberg_commutator_relation():
@@ -174,19 +174,6 @@ def test_non_spanning_generators_rejected():
         GroupSpec(fam, generators=(e1,))
 
 
-def test_cyclic_ball_saturates():
-    geo = GroupGeometry(GroupSpec(CyclicGroup(5)))
-    assert [geo.ball_size(k) for k in range(5)] == [1, 3, 5, 5, 5]
-
-
-def test_powers_match_repeated_products():
-    spec = integer_line_spec()
-    g = spec.generators[0]
-    assert g ** 4 == g * g * g * g
-    assert g ** 0 == spec.identity()
-    assert g ** -2 == ~g * ~g
-
-
 def test_free_group_inverse_of_long_word():
     spec = free_rank2_spec()
     rng = Random(9)
@@ -231,20 +218,13 @@ def test_translations_from_generator_tables_match_products(name):
                 expected = tuple(geo.position(h * g, dst) for h in geo.ball(src))
                 assert geo.right_translation(src, g, dst) == expected
     # a product leaving the destination ball is refused
-    far = geo.element_at(geo.ball_size(top) - 1)
+    far = geo.ball(top)[-1]
     with pytest.raises(ValueError):
         geo.right_translation(1, far, top)
     with pytest.raises(ValueError):
         geo.right_translation(0, far, top - 1)
     with pytest.raises(ValueError):
         geo.right_translation(-1, spec.identity(), top)
-
-
-def test_finite_group_translations_wrap_inside_the_ball():
-    geo = GroupGeometry(GroupSpec(CyclicGroup(5)))
-    for g in geo.ball(2):
-        expected = tuple(geo.position(h * g, 2) for h in geo.ball(2))
-        assert geo.right_translation(2, g, 2) == expected
 
 
 @pytest.mark.parametrize("name", sorted(_table_specs()))
@@ -273,4 +253,13 @@ def test_words_follow_the_parent_pointers_geodesically(name):
             prod = prod * letter
         assert prod == g
         assert rewrite_generator(g, spec, top) == word
-    assert geo.word(geo.element_at(geo.ball_size(top) - 1), top - 1) is None
+    assert geo.word(geo.ball(top)[-1], top - 1) is None
+
+
+@pytest.mark.parametrize("name", ["free-rank-2", "integer-plane"])
+def test_elements_of_a_ball_hash_apart(name):
+    # CPython hashes -1 like -2: hashing the raw letters folds x^-1 onto
+    # y^-1 and (-1, 0) onto (-2, 0)
+    geo = GroupGeometry(BALL_SIZES[name][0]())
+    ball = geo.ball(6)
+    assert len({hash(g) for g in ball}) == len(ball)

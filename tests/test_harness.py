@@ -436,6 +436,40 @@ def test_cli_missing_chain_path_is_exit_two(tmp_path, capsys):
     _assert_io_refusal(["run", path], capsys, "read", target)
 
 
+def _csv_chain_config(table):
+    return {"experiment": "cantor-trace", "seed": 2,
+            "parameters": {"system": "chain",
+                           "chain": {"kind": "csv", "path": str(table)},
+                           "radius": 2, "modulus": 1}}
+
+
+def test_cli_plane_chain_csv_reads_back(tmp_path, capsys):
+    table = tmp_path / "p.csv"
+    cfg = {"experiment": "cantor-trace", "seed": 2,
+           "parameters": {"system": "chain",
+                          "chain": {"kind": "plane-lattice", "depth": 4},
+                          "radius": 2, "modulus": 1},
+           "output": {"chain_csv": str(table)}}
+    assert main(["run", _write(tmp_path, "write.json", cfg)]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert table.read_text().startswith('level,index,parent,"(1,0)","(-1,0)",'
+                                        '"(0,1)","(0,-1)"\n')
+    assert main(["run", _write(tmp_path, "read.json",
+                               _csv_chain_config(table))]) == 0
+    back = json.loads(capsys.readouterr().out)
+    assert back["results"]["level_sizes"] == written["results"]["level_sizes"]
+    assert back["results"]["trace"]["trace_ok"]
+
+
+def test_cli_chain_csv_without_table_columns_is_exit_two(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("lvl,index,parent,(1),(-1)\n0,0,-1,0,0\n")
+    code = main(["run", _write(tmp_path, "cfg.json", _csv_chain_config(table))])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"config error: {table}: missing table columns ['level']\n"
+
+
 def test_cli_module_entry_point(tmp_path):
     path = _write(tmp_path, "cfg.json", _trace_config())
     proc = subprocess.run([sys.executable, "-m", "shadowlab", "run", path],

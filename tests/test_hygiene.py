@@ -1,14 +1,23 @@
-"""Import hygiene: no unused imports, no undeclared third-party modules.
+"""Code hygiene: no unused imports, no undeclared third-party modules, and
+no definition that the program never names.
 
-Both checks read the AST of every module under ``src/`` and ``tests/``.  An
-import counts as used when its bound name appears anywhere in the module as
-a name (attribute chains start with one).  Package ``__init__.py`` files are
-exempt from the unused check, since their imports are the re-exports.
+The import checks read the AST of every module under ``src/`` and
+``tests/``.  An import counts as used when its bound name appears anywhere
+in the module as a name (attribute chains start with one).  Package
+``__init__.py`` files are exempt from the unused check, since their imports
+are the re-exports.
+
+The reach check reads ``src/`` and ``perfbench/``: every top-level function
+or class and every non-dunder method under ``src/`` must be named, as a name
+or an attribute, somewhere outside its own definition.  Imports and tests do
+not count, so a definition that only its tests or an export keep alive
+fails.
 """
 
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,6 +57,35 @@ def _absolute_roots(tree):
             yield node.module.split(".")[0]
 
 
+def _definitions(tree):
+    """(qualified name, node) of every top-level function or class and of
+    every non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not re.fullmatch(r"__\w+__", item.name):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names(tree):
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _unreached(sources, checked):
+    """``label: name`` of each definition in the ``checked`` sources that no
+    source names outside that definition; ``sources`` maps label to code."""
+    trees = {label: ast.parse(code) for label, code in sources.items()}
+    named = sum(map(_names, trees.values()), Counter())
+    return [f"{label}: {name}" for label in checked
+            for name, node in _definitions(trees[label])
+            if named[node.name] == _names(node)[node.name]]
+
+
 def _declared_dependencies():
     if sys.version_info >= (3, 11):
         import tomllib
@@ -78,6 +116,13 @@ def test_third_party_imports_under_src_are_declared():
     assert sorted(undeclared) == []
 
 
+def test_every_src_definition_is_reached_from_src_or_perfbench():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in _modules("src", "perfbench")}
+    checked = [label for label in sources if label.startswith("src")]
+    assert _unreached(sources, checked) == []
+
+
 def test_the_checks_see_what_they_should():
     probe = ("from __future__ import annotations\nimport os\n"
              "import numpy as np\nfrom typing import Optional\n"
@@ -87,3 +132,12 @@ def test_the_checks_see_what_they_should():
     assert _unused_imports(probe) == [("os", 2), ("c", 5), ("json", 9)]
     assert sorted(_absolute_roots(ast.parse(probe))) \
         == ["__future__", "json", "numpy", "os", "typing", "x"]
+    probe = {"a.py": "import b\n\n"
+                     "def used():\n    return 1\n\n"
+                     "def only_itself(n):\n    return only_itself(n - 1)\n\n"
+                     "class Box:\n    def __init__(self):\n        self.v = used()\n\n"
+                     "    def read(self):\n        return Box()\n\n"
+                     "    def dead(self):\n        return b.read\n",
+             "b.py": "from a import only_itself, Box\n\nx = Box().v\n"}
+    assert _unreached(probe, ["a.py"]) == ["a.py: only_itself", "a.py: Box.dead"]
+    assert _unreached(probe, ["b.py"]) == []

@@ -7,10 +7,9 @@ from random import Random
 import pytest
 
 from shadowlab.groups import (
-    CyclicGroup,
     GroupElement,
-    GroupSpec,
     IntegerLattice,
+    free_rank2_spec,
     integer_line_spec,
     integer_plane_spec,
 )
@@ -97,10 +96,9 @@ def test_points_must_refine_their_parents():
     assert deep.path[:3] == x.path[:3]
 
 
-def test_finite_acting_groups_are_rejected():
-    spec = GroupSpec(CyclicGroup(3))
-    g = spec.generators[0]
-    with pytest.raises(ValueError):
+def test_non_lattice_acting_groups_are_rejected():
+    spec = free_rank2_spec()
+    with pytest.raises(ValueError, match="free abelian"):
         QuotientChain(spec, [1, 3], [None, (0, 0, 0)],
                       {a: [(0,), (1, 2, 0)] for a in spec.generators})
 
@@ -187,7 +185,7 @@ def test_chain_csv_round_trip(tmp_path):
     chain = plane_lattice_chain(3)
     path = str(tmp_path / "chain.csv")
     chain_to_csv(chain, path)
-    back = chain_from_csv(path, spec=integer_plane_spec())
+    back = chain_from_csv(path)
     assert back.level_sizes == chain.level_sizes
     assert back.parents[1:] == chain.parents[1:]
     for g in chain.spec.generators:

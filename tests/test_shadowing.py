@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from shadowlab import shadowing
 from shadowlab.groups import (
     GroupGeometry,
     free_rank2_spec,
@@ -298,7 +299,8 @@ def _ref_passers(orb, plan, scan_radius, cap):
 @pytest.mark.parametrize("mode", ["exact_orbit", "perturbed_orbit",
                                   "random_flip"])
 def test_common_ball_comparisons_match_the_restricted_definitions(line_space,
-                                                                  mode):
+                                                                  mode,
+                                                                  monkeypatch):
     plan = TracingPlan(0, Fraction(1, 8), 2, Fraction(1, 8))
     fs = full_shift(line_space)
     geo = line_space.geometry
@@ -310,7 +312,7 @@ def test_common_ball_comparisons_match_the_restricted_definitions(line_space,
     for trace in (construct_trace(orb), wrong):
         res = verify_trace(orb, trace, plan, scan_radius=7)
         for gi, chk in enumerate(res.checks):
-            g = geo.element_at(gi)
+            g = geo.ball(7)[gi]
             c = min(7 - geo.word_length(g, 7), 6)
             assert chk.comparison_radius == c
             assert chk.dist == distance(shift(g, trace).restrict(c),
@@ -318,10 +320,11 @@ def test_common_ball_comparisons_match_the_restricted_definitions(line_space,
     orb = generate_pseudo_orbit(fs, 4, plan, Random(12), mode=mode,
                                 inner_radius=7, flip_attempts=24)
     assert delta_profile(orb) == _ref_step_profile(orb)
+    monkeypatch.setattr(shadowing, "PASSER_SAMPLES", 600)
     for scan_radius in (0, 2, 4):
         for cap in (0, 1, 2, 3):
             rep = uniqueness_scan(orb, plan, Fraction(1, 2), scan_radius,
-                                  comparison_cap=cap, sample_limit=600)
+                                  comparison_cap=cap)
             assert list(rep.passer_samples) == _ref_passers(orb, plan,
                                                             scan_radius, cap)
 

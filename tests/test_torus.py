@@ -11,12 +11,10 @@ from shadowlab.torus import (
     CAT_MATRIX,
     FourierDisplacement,
     PerturbedMap,
-    commuting_action,
     correct_segment,
     expansiveness_certificate,
     generating_set_transfer,
     heisenberg_block_action,
-    lattice_grid,
     mat_det,
     mat_identity,
     mat_inverse_unimodular,
@@ -25,7 +23,6 @@ from shadowlab.torus import (
     plane_element_matrix,
     random_displacement,
     random_grid,
-    relation_defect_report,
     segment_orbit_residual,
     spectral_splitting,
     stability_report,
@@ -199,16 +196,6 @@ def test_heisenberg_blocks_reject_bad_inputs():
         heisenberg_block_action(((2, 0), (0, 1)), CAT_MATRIX)
 
 
-def test_relation_defect_tracks_amplitude():
-    act = heisenberg_block_action(CAT_MATRIX, CAT_MATRIX)
-    rep = relation_defect_report(act, "ab", "bac", 1e-4, Random(5), 200)
-    assert 0.0 < rep.sup_displacement <= 1e-4 + 1e-15
-    assert 0.0 < rep.relation_defect <= 100 * 1e-4
-    silent = relation_defect_report(act, "ab", "bac", 0.0, Random(5), 50)
-    # only matmul rounding separates the two orders once displacements vanish
-    assert silent.relation_defect < 1e-12
-
-
 def test_generating_set_transfer_pins():
     rep = generating_set_transfer(CAT_MATRIX, 0.05, Random(3), grid_count=100)
     assert rep.conversion_radius == 2
@@ -226,14 +213,4 @@ def test_plane_matrices_commute_and_compose():
     assert m2 == mat_pow(CAT_MATRIX, 2)
     assert mat_mul(m1, m2) == mat_mul(m2, m1)
     assert plane_element_matrix(CAT_MATRIX, (2, 1)) == mat_pow(CAT_MATRIX, 4)
-    act = commuting_action((m1, m2))
-    assert act.matrix_for(act.labels[0]) == m1
-    with pytest.raises(ValueError):
-        commuting_action((CAT_MATRIX, ((1, 1), (0, 1))))
 
-
-def test_lattice_grid_is_the_unit_cube_lattice():
-    g = lattice_grid(2, 8)
-    assert g.shape == (64, 2)
-    assert g.min() == 0.0 and g.max() == 7 / 8
-    assert len({tuple(row) for row in g}) == 64
