@@ -250,25 +250,28 @@ def chain_from_csv(path: str) -> QuotientChain:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no table rows")
-    depth = max(int(r["level"]) for r in rows)
-    sizes = [0] * (depth + 1)
+    by_level: dict[int, list[dict]] = {}
     for r in rows:
-        sizes[int(r["level"])] += 1
+        try:
+            cells = {c: int(r[c]) for c in (*_TABLE_COLUMNS, *labels)}
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: level {r['level']} index {r['index']} "
+                             "has a missing or non-integer cell") from None
+        by_level.setdefault(cells["level"], []).append(cells)
+    if min(by_level) < 0:
+        raise ValueError(f"{path}: level {min(by_level)} is negative")
+    depth = max(by_level)
+    sizes = [len(by_level.get(n, [])) for n in range(depth + 1)]
     parents: list[Optional[tuple[int, ...]]] = [None]
     table_data = {g: [] for g in spec.generators}
-    by_level: dict[int, dict[int, dict]] = {}
-    for r in rows:
-        by_level.setdefault(int(r["level"]), {})[int(r["index"])] = r
     for n in range(depth + 1):
-        level_rows = by_level.get(n, {})
-        if sorted(level_rows) != list(range(sizes[n])):
+        level_rows = sorted(by_level.get(n, []), key=lambda c: c["index"])
+        if [c["index"] for c in level_rows] != list(range(sizes[n])):
             raise ValueError(f"{path}: level {n} indices are not 0..{sizes[n]-1}")
         if n >= 1:
-            parents.append(tuple(int(level_rows[i]["parent"])
-                                 for i in range(sizes[n])))
+            parents.append(tuple(c["parent"] for c in level_rows))
         for label, g in labels.items():
-            table_data[g].append(tuple(int(level_rows[i][label])
-                                       for i in range(sizes[n])))
+            table_data[g].append(tuple(c[label] for c in level_rows))
     return QuotientChain(spec, sizes, parents, table_data)
 
 

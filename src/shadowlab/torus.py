@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Optional
 
@@ -53,33 +54,32 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
                        for j in range(n)) for i in range(n))
 
 
-def mat_det(A: IntMatrix) -> int:
+def _faddeev_leverrier(A: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det A, adj A) from one exact integer recursion: M_1 = I,
+    c_(n-k) = -tr(A M_k)/k (an exact division), M_(k+1) = A M_k + c_(n-k) I;
+    then det A = (-1)^n c_0 and adj A = (-1)^(n+1) M_n."""
     n = len(A)
-    if n == 1:
-        return A[0][0]
-    total = 0
-    rest = A[1:]
-    for j in range(n):
-        minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in rest)
-        total += (-1) ** j * A[0][j] * mat_det(minor)
-    return total
+    M = mat_identity(n)
+    for k in range(1, n + 1):
+        AM = mat_mul(A, M)
+        c = -sum(AM[i][i] for i in range(n)) // k
+        if k < n:
+            M = tuple(tuple(v + c * (i == j) for j, v in enumerate(row))
+                      for i, row in enumerate(AM))
+    sign = (-1) ** n
+    return sign * c, tuple(tuple(-sign * v for v in row) for row in M)
+
+
+def mat_det(A: IntMatrix) -> int:
+    return _faddeev_leverrier(A)[0]
 
 
 def mat_inverse_unimodular(A: IntMatrix) -> IntMatrix:
     """Exact integer inverse; demands det +-1."""
-    n = len(A)
-    d = mat_det(A)
+    d, adj = _faddeev_leverrier(A)
     if d not in (1, -1):
         raise ValueError(f"matrix has determinant {d}, not a lattice automorphism")
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(tuple(A[r][c] for c in range(n) if c != j)
-                          for r in range(n) if r != i)
-            row.append((-1) ** (i + j) * (mat_det(minor) if n > 1 else 1))
-        cof.append(row)
-    return tuple(tuple(d * cof[j][i] for j in range(n)) for i in range(n))
+    return tuple(tuple(d * v for v in row) for row in adj)
 
 
 def mat_pow(A: IntMatrix, k: int) -> IntMatrix:
@@ -275,14 +275,14 @@ def random_displacement(dimension: int, amplitude: float, rng: Random,
                         terms: int = 3) -> FourierDisplacement:
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
-    seen = set()
+    if terms > 5 ** dimension - 1:
+        raise ValueError(f"terms {terms} exceeds the {5 ** dimension - 1} "
+                         f"nonzero wave vectors in {{-2..2}}^{dimension}")
     vectors = []
     while len(vectors) < terms:
         v = tuple(rng.randint(-2, 2) for _ in range(dimension))
-        if v == (0,) * dimension or v in seen:
-            continue
-        seen.add(v)
-        vectors.append(v)
+        if any(v) and v not in vectors:
+            vectors.append(v)
     weights = tuple(tuple(rng.uniform(0.5, 1.0) * rng.choice((-1.0, 1.0))
                           for _ in range(dimension)) for _ in range(terms))
     phases = tuple(tuple(rng.uniform(0.0, 2.0 * math.pi)
@@ -299,7 +299,7 @@ class PerturbedMap:
     displacement: FourierDisplacement
 
     def __post_init__(self) -> None:
-        inv_norm = mat_sup_norm(mat_inverse_unimodular(self.matrix))
+        inv_norm = mat_sup_norm(self._inverse)
         lip = self.displacement.lipschitz_bound()
         if lip >= 0.45:
             raise ValueError(f"displacement Lipschitz bound {lip:.3f} too large "
@@ -307,6 +307,10 @@ class PerturbedMap:
         if lip * inv_norm >= 0.9:
             raise ValueError("displacement defeats the inverse contraction "
                              f"(L={lip:.3f}, |A^-1|={inv_norm})")
+
+    @cached_property
+    def _inverse(self) -> IntMatrix:
+        return mat_inverse_unimodular(self.matrix)
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -322,7 +326,7 @@ class PerturbedMap:
         resolution.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        inv = np.array(mat_inverse_unimodular(self.matrix), dtype=float)
+        inv = np.array(self._inverse, dtype=float)
         x = pts @ inv.T
         step = math.inf
         for _ in range(BACKWARD_MAX_ITER):
@@ -400,17 +404,11 @@ class StabilityReport:
 
 
 def _segment_around(pmap: PerturbedMap, pts: np.ndarray, window: int) -> np.ndarray:
-    n_pts = pts.shape[0]
-    seg = np.zeros((2 * window + 1, n_pts, pts.shape[1]))
-    seg[window] = pts
-    cur = pts
+    seg = np.zeros((2 * window + 1,) + pts.shape)
+    seg[window] = fwd = bwd = pts
     for i in range(1, window + 1):
-        cur = pmap.forward(cur)
-        seg[window + i] = cur
-    cur = pts
-    for i in range(1, window + 1):
-        cur = pmap.backward(cur)
-        seg[window - i] = cur
+        fwd, bwd = pmap.forward(fwd), pmap.backward(bwd)
+        seg[window + i], seg[window - i] = fwd, bwd
     return seg
 
 
@@ -498,9 +496,7 @@ def heisenberg_block_action(x: IntMatrix, y: IntMatrix) -> ToralAction:
         raise ValueError("x and y must commute")
     I = mat_identity(n)
     Z = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    xin = mat_inverse_unimodular(x)
-    yin = mat_inverse_unimodular(y)
-    corner = mat_mul(xin, yin)
+    corner = mat_inverse_unimodular(mat_mul(y, x))  # x^-1 y^-1
 
     def blocks(rows):
         return tuple(tuple(val for blk in row_of_blocks for val in blk[r])

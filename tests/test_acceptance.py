@@ -6,6 +6,7 @@ sizes are not negotiable downward; a failure here is a finding, not noise.
 """
 
 import itertools
+import json
 import time
 from fractions import Fraction
 from random import Random
@@ -13,6 +14,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from shadowlab.cli import main
 from shadowlab.groups import (
     GroupGeometry,
     free_rank2_spec,
@@ -228,6 +230,23 @@ def test_heisenberg_blocks_satisfy_relations_and_stay_stable():
     assert report.orbit_residual <= 1e-9
     assert report.sup_conjugacy_defect <= 1e-9
     assert report.collisions == 0
+
+
+def test_eight_dimensional_cat_blocks_run_within_budget(tmp_path, capsys):
+    matrix = [[0] * 8 for _ in range(8)]
+    for b in range(0, 8, 2):
+        matrix[b][b:b + 2] = CAT[0]
+        matrix[b + 1][b:b + 2] = CAT[1]
+    cfg = {"experiment": "toral-stability", "seed": 1,
+           "parameters": {"matrix": matrix, "amplitude": 1e-4, "window": 30,
+                          "grid_points": 64}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    started = time.monotonic()
+    assert main(["run", str(path)]) == 0
+    elapsed = time.monotonic() - started
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert elapsed < 30.0, f"8x8 stability run took {elapsed:.1f}s"
 
 
 def test_odometer_batch_traces_and_preserves_cylinders():

@@ -470,6 +470,30 @@ def test_cli_chain_csv_without_table_columns_is_exit_two(tmp_path, capsys):
     assert err == f"config error: {table}: missing table columns ['level']\n"
 
 
+@pytest.mark.parametrize("row", ["0,0,-1,0", "0,0,-1,0,x"])
+def test_cli_chain_csv_with_a_short_or_non_integer_row_is_exit_two(
+        tmp_path, capsys, row):
+    table = tmp_path / "t.csv"
+    table.write_text(f"level,index,parent,(1),(-1)\n{row}\n")
+    code = main(["run", _write(tmp_path, "cfg.json", _csv_chain_config(table))])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"config error: {table}: level 0 index 0 has a missing or "
+                   "non-integer cell\n")
+
+
+def test_cli_more_displacement_terms_than_wave_vectors_is_exit_two(
+        tmp_path, capsys):
+    cfg = {"experiment": "toral-stability", "seed": 1,
+           "parameters": {"matrix": [[2]], "amplitude": 0.001, "window": 4,
+                          "grid_points": 8, "terms": 5}}
+    assert main(["run", _write(tmp_path, "cfg.json", cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: terms 5 exceeds the 4 nonzero wave vectors "
+                   "in {-2..2}^1\n")
+
+
 def test_cli_module_entry_point(tmp_path):
     path = _write(tmp_path, "cfg.json", _trace_config())
     proc = subprocess.run([sys.executable, "-m", "shadowlab", "run", path],

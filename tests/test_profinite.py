@@ -192,6 +192,19 @@ def test_chain_csv_round_trip(tmp_path):
         assert back.tables[g] == chain.tables[g]
 
 
+@pytest.mark.parametrize("body, fault", [
+    ("0,0,-1,0\n", "level 0 index 0 has a missing or non-integer cell"),
+    ("0,0,-1,0,x\n", "level 0 index 0 has a missing or non-integer cell"),
+    ("0,0,-1,0,0\n-2,0,0,0,0\n", "level -2 is negative"),
+])
+def test_chain_csv_faults_name_the_file_and_the_row(tmp_path, body, fault):
+    path = tmp_path / "t.csv"
+    path.write_text("level,index,parent,(1),(-1)\n" + body)
+    with pytest.raises(ValueError) as info:
+        chain_from_csv(str(path))
+    assert str(info.value) == f"{path}: {fault}"
+
+
 def test_necklace_rotation_and_metric():
     neck = NecklaceShift(6)
     x = (0, 1, 1, 0, 0, 0)

@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from shadowlab import torus
 from shadowlab.errors import CapacityError
 from shadowlab.torus import (
     CAT_MATRIX,
@@ -33,17 +34,59 @@ from shadowlab.torus import (
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
+def _elementary_product(n, steps, rng):
+    """A random product of row additions, swaps and negations in GL(n, Z)."""
+    m = [list(row) for row in mat_identity(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        move = rng.randrange(3) if n > 1 else 2
+        if move == 0:
+            k = rng.choice((-2, -1, 1, 2))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        elif move == 1:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-a for a in m[i]]
+    return tuple(tuple(row) for row in m)
+
+
 def test_exact_inverse_of_unimodular_products():
     rng = Random(0)
-    elementary = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (-1, 0))]
-    for _ in range(50):
-        m = mat_identity(2)
-        for _ in range(rng.randrange(1, 7)):
-            m = mat_mul(m, elementary[rng.randrange(3)])
-        assert mat_det(m) in (1, -1)
-        inv = mat_inverse_unimodular(m)
-        assert mat_mul(m, inv) == mat_identity(2)
-        assert mat_mul(inv, m) == mat_identity(2)
+    for n in range(1, 13):
+        for _ in range(4):
+            m = _elementary_product(n, rng.randrange(1, 3 * n + 2), rng)
+            assert mat_det(m) in (1, -1)
+            inv = mat_inverse_unimodular(m)
+            assert mat_mul(m, inv) == mat_identity(n)
+            assert mat_mul(inv, m) == mat_identity(n)
+
+
+def test_exact_kernel_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(9)
+    cases = [((1,),), ((-1,),), ((2,),)]
+    for n in range(1, 8):
+        for _ in range(6):
+            cases.append(tuple(tuple(rng.randint(-4, 4) for _ in range(n))
+                               for _ in range(n)))
+            cases.append(_elementary_product(n, rng.randrange(1, 4 * n), rng))
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            k = rng.randint(-2, 2) if n > 1 else 0
+            rows[-1] = [k * v for v in rows[0]]  # singular
+            cases.append(tuple(map(tuple, rows)))
+    dets = {mat_det(A) for A in cases}
+    assert 0 in dets and {1, -1} <= dets and dets - {0, 1, -1}
+    for A in cases:
+        oracle = sympy.Matrix(A)
+        d = mat_det(A)
+        assert d == oracle.det(), A
+        if d in (1, -1):
+            inv = tuple(map(tuple, oracle.inv().tolist()))
+            assert mat_inverse_unimodular(A) == inv, A
+        else:
+            with pytest.raises(ValueError, match=f"matrix has determinant {d}, "
+                               "not a lattice automorphism"):
+                mat_inverse_unimodular(A)
 
 
 def test_non_unimodular_matrices_are_rejected():
@@ -160,6 +203,29 @@ def test_perturbed_map_round_trip():
     fwd = pmap.forward(pts)
     back = pmap.backward(fwd)
     assert float(np.max(torus_distance(back, pts))) < 1e-11
+
+
+def test_stability_report_inverts_the_matrix_once(monkeypatch):
+    calls = []
+    inverse = torus.mat_inverse_unimodular
+
+    def counted(A):
+        calls.append(A)
+        return inverse(A)
+
+    monkeypatch.setattr(torus, "mat_inverse_unimodular", counted)
+    rng = Random(4)
+    disp = random_displacement(2, 1e-3, rng)
+    stability_report(CAT_MATRIX, disp, 30, random_grid(2, 16, rng))
+    assert calls == [CAT_MATRIX]
+
+
+def test_displacement_refuses_more_terms_than_wave_vectors():
+    # {-2..2}^1 holds 4 nonzero wave vectors; a fifth draw would never end
+    with pytest.raises(ValueError, match="terms 5 exceeds the 4 nonzero"):
+        random_displacement(1, 1e-3, Random(1), terms=5)
+    disp = random_displacement(1, 1e-3, Random(1), terms=4)
+    assert sorted(disp.wave_vectors) == [(-2,), (-1,), (1,), (2,)]
 
 
 def test_backward_iteration_that_cannot_converge_is_a_capacity_error():
