@@ -252,6 +252,9 @@ def chain_from_csv(path: str) -> QuotientChain:
         raise ValueError(f"{path}: no table rows")
     by_level: dict[int, list[dict]] = {}
     for r in rows:
+        if None in r:
+            raise ValueError(f"{path}: level {r['level']} index {r['index']} "
+                             "has more cells than the header")
         try:
             cells = {c: int(r[c]) for c in (*_TABLE_COLUMNS, *labels)}
         except (TypeError, ValueError):

@@ -482,6 +482,16 @@ def test_cli_chain_csv_with_a_short_or_non_integer_row_is_exit_two(
                    "non-integer cell\n")
 
 
+def test_cli_chain_csv_with_a_long_row_is_exit_two(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("level,index,parent,(1),(-1)\n0,0,-1,0,0,9,9\n")
+    code = main(["run", _write(tmp_path, "cfg.json", _csv_chain_config(table))])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"config error: {table}: level 0 index 0 has more cells "
+                   "than the header\n")
+
+
 def test_cli_more_displacement_terms_than_wave_vectors_is_exit_two(
         tmp_path, capsys):
     cfg = {"experiment": "toral-stability", "seed": 1,

@@ -196,6 +196,7 @@ def test_chain_csv_round_trip(tmp_path):
     ("0,0,-1,0\n", "level 0 index 0 has a missing or non-integer cell"),
     ("0,0,-1,0,x\n", "level 0 index 0 has a missing or non-integer cell"),
     ("0,0,-1,0,0\n-2,0,0,0,0\n", "level -2 is negative"),
+    ("0,0,-1,0,0,9,9\n", "level 0 index 0 has more cells than the header"),
 ])
 def test_chain_csv_faults_name_the_file_and_the_row(tmp_path, body, fault):
     path = tmp_path / "t.csv"

@@ -10,6 +10,7 @@ from shadowlab import torus
 from shadowlab.errors import CapacityError
 from shadowlab.torus import (
     CAT_MATRIX,
+    COLLISION_RESOLUTION,
     FourierDisplacement,
     PerturbedMap,
     correct_segment,
@@ -30,6 +31,7 @@ from shadowlab.torus import (
     torus_distance,
     torus_wrap,
 )
+from shadowlab.torus import _collision_count
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -160,6 +162,82 @@ def test_conjugacy_defect_decays_with_window():
     assert rep24.sup_conjugacy_defect < 1e-10
     assert rep24.sup_conjugacy_defect < rep16.sup_conjugacy_defect
     assert rep16.displacement_within_bound and rep16.collisions == 0
+
+
+def _ref_collisions(pts, h_pts, separation):
+    """The O(n^2) pair loop that _collision_count replaces."""
+    collisions = 0
+    for i in range(pts.shape[0]):
+        di = torus_distance(pts[i + 1:], pts[i])
+        hi = torus_distance(h_pts[i + 1:], h_pts[i])
+        collisions += int(np.sum((di >= separation)
+                                 & (hi < COLLISION_RESOLUTION)))
+    return collisions
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("n", [0, 1, 2, 40, 400])
+def test_collision_count_matches_the_pair_loop_on_collapsed_sets(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    res = COLLISION_RESOLUTION
+    pts = rng.random((n, d))
+    centers = rng.random((max(1, n // 6), d))
+    centers[:, 0] = rng.choice([0.0, 1.0, np.nextafter(1.0, 0.0), 0.5, 0.25],
+                               len(centers))
+    h_pts = centers[rng.integers(0, len(centers), n)]
+    h_pts = (h_pts + rng.uniform(-1.5 * res, 1.5 * res, (n, d))) % 1.0
+    # a quarter of the images sit exactly on a center
+    h_pts[:n // 4] = centers[rng.integers(0, len(centers), n // 4)]
+    for separation in (0.0, 0.3, 0.9):
+        assert _collision_count(pts, h_pts, separation) \
+            == _ref_collisions(pts, h_pts, separation)
+    if n >= 40:
+        assert _ref_collisions(pts, h_pts, 0.3) > 0
+
+
+def _boundary_pairs(d, rng, separation):
+    """Pairs of h-images a few ulps either side of COLLISION_RESOLUTION
+    apart (in the first coordinate, across the 0/1 wrap, and in the last
+    coordinate), at the exact values 0.0, 1.0 and nextafter(1, 0), with
+    their points a few ulps either side of ``separation`` apart.  Each pair
+    shares its other coordinates, drawn apart from every other pair's."""
+    res = COLLISION_RESOLUTION
+    pairs = []
+    # below RES, b - a rounds: a sweep margin one ulp short of RES misses
+    for a in (0.0, 0.77 * res, 0.9 * res, 2.0 ** -40, 0.3, 0.5, 0.7, 1.0 - 2 * res):
+        for k in range(-3, 4):
+            b = a + res
+            pairs.append((a, b + k * np.spacing(b), 0))
+    for a in (0.0, 2.0 ** -54, 1.5 * 2.0 ** -53, 3 * 2.0 ** -53, res / 3):
+        for k in range(-3, 4):
+            b = 1.0 - res + a + k * 2.0 ** -53
+            pairs.append((a, b, 0))
+            pairs.append((b, a, 0))
+    for k in range(-3, 4):
+        b = 0.6 + res
+        pairs.append((0.6, b + k * np.spacing(b), d - 1))
+    one_below = np.nextafter(1.0, 0.0)
+    pairs += [(0.0, 1.0, 0), (1.0, one_below, 0), (0.0, one_below, 0),
+              (1.0 - res / 3, res / 3, 0), (1.0 - 0.6 * res, 0.6 * res, 0)]
+    m = len(pairs)
+    h_pts = np.repeat(rng.random((m, d)), 2, axis=0)
+    pts = np.repeat(rng.random((m, d)), 2, axis=0)
+    for p, (u, v, axis) in enumerate(pairs):
+        h_pts[2 * p, axis], h_pts[2 * p + 1, axis] = u, v
+        gap = separation + (p % 5 - 2) * np.spacing(separation)
+        pts[2 * p, d - 1], pts[2 * p + 1, d - 1] = 0.0, gap if p % 7 else 0.45
+    return pts, h_pts
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_collision_count_matches_the_pair_loop_at_the_boundaries(d):
+    separation = 0.1 + 4.0 * COLLISION_RESOLUTION
+    pts, h_pts = _boundary_pairs(d, np.random.default_rng(d), separation)
+    expected = _ref_collisions(pts, h_pts, separation)
+    assert 0 < expected < pts.shape[0] // 2
+    assert _collision_count(pts, h_pts, separation) == expected
+    order = np.random.default_rng(d + 1).permutation(pts.shape[0])
+    assert _collision_count(pts[order], h_pts[order], separation) == expected
 
 
 def test_zero_amplitude_is_bit_exact_identity():
