@@ -289,8 +289,11 @@ class GroupGeometry:
     i times generator a (inside the outermost layer), and element i is
     element ``_parent[i]`` times generator ``_via[i]``, so the parents spell
     a geodesic word.  Translation tables (position of h*g for every h in a
-    ball) compose ``_mul`` along that word and are cached, since the shift
-    action reuses them heavily, as are the step tables.
+    ball) are built for a whole ball of g at once: the table of g is its
+    parent's table mapped through ``_mul`` of its last letter, one ``map``
+    per table.  One cache per (src, dst) holds the tables of every g in
+    ball(dst - src), in ball order, since the shift action reuses them
+    heavily; the step tables are cached too.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -302,7 +305,7 @@ class GroupGeometry:
         self._via: list[int] = [-1]
         self._mul: list[list[int]] = [[] for _ in spec.generators]
         self._ball_sizes: list[int] = [1]  # ball_sizes[k] == |ball(k)|
-        self._translations: dict[tuple[int, GroupElement, int], tuple[int, ...]] = {}
+        self._translations: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._step_tables: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
 
     @property
@@ -393,29 +396,41 @@ class GroupGeometry:
             return None
         return [self.spec.generators[a] for a in self._word(self._index[g])]
 
+    def translation_tables(self, src_radius: int,
+                           dst_radius: int) -> tuple[tuple[int, ...], ...]:
+        """The ``right_translation`` table of every g in
+        ball(dst_radius - src_radius), in ball order; empty when
+        dst_radius < src_radius."""
+        key = (src_radius, dst_radius)
+        tables = self._translations.get(key)
+        if tables is None:
+            if src_radius < 0:
+                raise ValueError("radius must be nonnegative")
+            self.ensure_radius(dst_radius)
+            tables = []
+            if dst_radius >= src_radius:
+                mul, parent, via = self._mul, self._parent, self._via
+                tables.append(tuple(range(self._ball_sizes[src_radius])))
+                for i in range(1, self._ball_sizes[dst_radius - src_radius]):
+                    # h*g_i = (h*g_parent) * g_via, and parents come first
+                    tables.append(tuple(map(mul[via[i]].__getitem__,
+                                            tables[parent[i]])))
+            tables = self._translations[key] = tuple(tables)
+        return tables
+
     def right_translation(self, src_radius: int, g: GroupElement,
                           dst_radius: int) -> tuple[int, ...]:
         """For each h in ball(src_radius), the ball(dst_radius) index of h*g.
 
         The caller must guarantee src_radius + word_length(g) <= dst_radius so
-        every product lands inside the destination ball; a product outside
-        it raises ValueError.
+        every product lands inside the destination ball; any other g raises
+        ValueError.
         """
-        key = (src_radius, g, dst_radius)
-        table = self._translations.get(key)
-        if table is None:
-            i = self.position(g, dst_radius)
-            # every row the word passes through lies in a tabulated layer
-            self.ensure_radius(src_radius + self._layers[i])
-            table = range(len(self.ball(src_radius)))
-            for a in self._word(i):
-                table = map(self._mul[a].__getitem__, table)
-            table = tuple(table)
-            if max(table) >= self._ball_sizes[dst_radius]:
-                raise ValueError(f"ball({src_radius}) * {g!r} leaves "
-                                 f"ball({dst_radius})")
-            self._translations[key] = table
-        return table
+        tables = self.translation_tables(src_radius, dst_radius)
+        i = self._index.get(g)
+        if i is None or i >= len(tables):
+            raise ValueError(f"ball({src_radius}) * {g!r} leaves ball({dst_radius})")
+        return tables[i]
 
     def step_table(self, radius: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each index i of ball(radius), the pairs (a, j) with j the

@@ -14,7 +14,6 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -226,6 +225,8 @@ CONFIG_SCHEMA = {
 
 def validate_config(config: dict) -> None:
     """Schema-check a config dict; raises ConfigError with a usable message."""
+    import jsonschema
+
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
         jsonschema.validate(config["parameters"],

@@ -97,11 +97,6 @@ class ShiftSpace:
     def __repr__(self) -> str:
         return f"ShiftSpace({self.geometry.spec.family.name}, {self.alphabet.symbols})"
 
-    def _window_centers(self, radius: int, window_radius: int) -> tuple[GroupElement, ...]:
-        if radius < window_radius:
-            return ()
-        return self.geometry.ball(radius - window_radius)
-
     def window_readers(self, radius: int, window_radius: int) -> tuple[Callable, ...]:
         """One reader per g in ball(radius - window_radius): called on the
         cells of ball(radius), it returns the window at g, the cells of h*g
@@ -109,10 +104,8 @@ class ShiftSpace:
         key = (radius, window_radius)
         readers = self._window_readers.get(key)
         if readers is None:
-            geo = self.geometry
-            readers = tuple(gather(geo.right_translation(window_radius, g, radius))
-                            for g in self._window_centers(radius, window_radius))
-            self._window_readers[key] = readers
+            tables = self.geometry.translation_tables(window_radius, radius)
+            readers = self._window_readers[key] = tuple(map(gather, tables))
         return readers
 
     def window_plan(self, radius: int, window_radius: int, every_cell: bool = False):
@@ -125,9 +118,8 @@ class ShiftSpace:
         if plan is None:
             geo = self.geometry
             by_cell: list[list[Callable]] = [[] for _ in range(geo.ball_size(radius))]
-            for g, read in zip(self._window_centers(radius, window_radius),
-                               self.window_readers(radius, window_radius)):
-                table = geo.right_translation(window_radius, g, radius)
+            for read, table in zip(self.window_readers(radius, window_radius),
+                                   geo.translation_tables(window_radius, radius)):
                 for pos in table if every_cell else (max(table),):
                     by_cell[pos].append(read)
             plan = tuple(tuple(ws) for ws in by_cell)
@@ -247,7 +239,8 @@ class SftSpec:
         n = self.space.alphabet.size
         if n ** self.window_size > PATTERN_BUDGET:
             raise CapacityError(
-                f"enumerating {n}^{self.window_size} window patterns exceeds the budget")
+                f"enumerating {n}^{self.window_size} window patterns exceeds "
+                f"the {PATTERN_BUDGET:,}-pattern budget")
         return itertools.product(range(n), repeat=self.window_size)
 
     @property
@@ -261,7 +254,8 @@ def sft_from_forbidden(space: ShiftSpace, window_radius: int,
     size = space.geometry.ball_size(window_radius)
     n = space.alphabet.size
     if n ** size > PATTERN_BUDGET:
-        raise CapacityError("window complement enumeration exceeds the budget")
+        raise CapacityError(f"enumerating the complement of {n}^{size} window "
+                            f"patterns exceeds the {PATTERN_BUDGET:,}-pattern budget")
     bad = set(map(tuple, forbidden))
     for cells in bad:
         if len(cells) != size:
@@ -384,7 +378,8 @@ class _Fill:
                 nodes += 1
                 if nodes > budget:
                     self.nodes = nodes
-                    raise CapacityError("fill search exceeded its node budget")
+                    raise CapacityError(f"fill search exceeded its {budget:,}-node "
+                                        f"budget on ball({self.radius})")
                 for read in plan[pos]:
                     if read(cells) not in allowed:
                         break
@@ -485,7 +480,8 @@ def allowed_blocks_exact_line(sft: SftSpec, k: int) -> tuple[tuple[int, ...], ..
             word, state = stack.pop()
             nodes += 1
             if nodes > NODE_BUDGET:
-                raise CapacityError("transfer-graph walk exceeded its node budget")
+                raise CapacityError(f"transfer-graph walk for the blocks on ball({k}) "
+                                    f"exceeded its {NODE_BUDGET:,}-node budget")
             if len(word) == length:
                 found.add(word)
                 continue

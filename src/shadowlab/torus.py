@@ -18,7 +18,6 @@ from random import Random
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import CapacityError
 
@@ -201,6 +200,8 @@ def spectral_splitting(A: IntMatrix) -> SpectralSplitting:
                          "no hyperbolic splitting")
     stable_mods = mods[mods < 1.0]
     unstable_mods = mods[mods > 1.0]
+    from scipy.linalg import schur
+
     ts, zs, sdim = schur(An, output="real", sort="iuc")
     tu, zu, udim = schur(An, output="real", sort="ouc")
     if sdim + udim != n:

@@ -17,6 +17,7 @@ from shadowlab.groups import (
     integer_plane_spec,
     rewrite_generator,
 )
+from shadowlab.shifts import ShiftSpace
 
 
 BALL_SIZES = {
@@ -210,17 +211,35 @@ def _table_specs():
 @pytest.mark.parametrize("name", sorted(_table_specs()))
 def test_translations_from_generator_tables_match_products(name):
     spec, top = _table_specs()[name]
-    geo = GroupGeometry(spec)  # cold: every table is composed here
+    geo = GroupGeometry(spec)  # cold: every table is built here
     for dst in range(top + 1):
         for g in geo.ball(dst):
             length = geo.word_length(g, dst)
             for src in range(dst - length + 1):
                 expected = tuple(geo.position(h * g, dst) for h in geo.ball(src))
                 assert geo.right_translation(src, g, dst) == expected
+    # the window readers and plans of a cold space read the same tables:
+    # a reader called on the positions themselves returns its table
+    space = ShiftSpace(GroupGeometry(spec))
+    for dst in range(top + 1):
+        cells = range(geo.ball_size(dst))
+        for src in range(dst + 1):
+            oracle = [tuple(geo.position(h * g, dst) for h in geo.ball(src))
+                      for g in geo.ball(dst - src)]
+            assert [read(cells) for read in space.window_readers(dst, src)] == oracle
+            for every_cell in (False, True):
+                plan = space.window_plan(dst, src, every_cell)
+                assert [[read(cells) for read in readers] for readers in plan] \
+                    == [[t for t in oracle if (pos in t if every_cell else max(t) == pos)]
+                        for pos in cells]
+    assert space.window_readers(0, 1) == ()
+    assert space.window_plan(0, 1) == ((),)
     # a product leaving the destination ball is refused
     far = geo.ball(top)[-1]
     with pytest.raises(ValueError):
         geo.right_translation(1, far, top)
+    with pytest.raises(ValueError):  # the first element of the layer beyond
+        geo.right_translation(1, geo.ball(top)[geo.ball_size(top - 1)], top)
     with pytest.raises(ValueError):
         geo.right_translation(0, far, top - 1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Config validation, report determinism, and the CLI contract."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -210,6 +211,43 @@ def test_toral_run_passes_and_writes_grid(tmp_path):
                      for line in lines[1:]])
     assert np.array_equal(rows[:, :2], pts)
     assert np.array_equal(rows[:, 2:], h_pts)
+
+
+# Run in a fresh interpreter, so that no other test's imports leak in: the
+# package and its CLI load neither scipy nor jsonschema until a toral run or
+# a config validation needs them.
+_LAZY_IMPORTS = """\
+import json, sys
+import shadowlab, shadowlab.harness, shadowlab.cli
+print(json.dumps(sorted(m for m in ("scipy", "jsonschema") if m in sys.modules)))
+shadowlab.validate_config(json.loads(sys.argv[1]))
+report, passed = shadowlab.run_config(json.loads(sys.argv[2]))
+print(json.dumps(passed))
+sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\\n")
+"""
+
+
+def test_fresh_import_defers_scipy_and_jsonschema():
+    readme = {"experiment": "sft-trace", "seed": 7,
+              "parameters": {"group": "integer-line", "sft": "golden-mean",
+                             "radius": 8, "epsilon_exponent": 3,
+                             "mode": "perturbed_orbit", "inner_radius": 8}}
+    cat = {"experiment": "toral-stability", "seed": 5,
+           "parameters": {"matrix": [[2, 1], [1, 1]], "amplitude": 1e-3,
+                          "window": 30, "grid_points": 256}}
+    path = [str(Path(harness.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS,
+                           json.dumps(readme), json.dumps(cat)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded, passed, report = proc.stdout.split("\n", 2)
+    assert json.loads(loaded) == []
+    assert json.loads(passed) is True
+    # the same bytes as a run in this process
+    expected, _ = run_config(cat)
+    assert report == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_toral_run_fails_on_non_expansive_matrix():

@@ -188,8 +188,27 @@ def test_random_admissible_raises_when_nothing_fits(line_space):
 def test_enumeration_capacity_guard(free_space, monkeypatch):
     sft = full_shift(free_space)
     monkeypatch.setattr(shifts, "NODE_BUDGET", 50)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError,
+                       match=r"^fill search exceeded its 50-node budget on ball\(3\)$"):
         list(enumerate_admissible(free_space, sft, 3))
+
+
+def test_transfer_walk_capacity_names_the_ball_and_budget(line_space, monkeypatch):
+    sft = golden_mean_sft(line_space)
+    monkeypatch.setattr(shifts, "NODE_BUDGET", 1_000)
+    with pytest.raises(CapacityError, match=r"^transfer-graph walk for the blocks "
+                       r"on ball\(9\) exceeded its 1,000-node budget$"):
+        allowed_blocks_exact_line(sft, 9)
+
+
+def test_pattern_capacity_names_the_count_and_budget(free_space):
+    # ball(3) of the free group has 53 cells: 2^53 window patterns
+    budget = r"window patterns exceeds the 1,048,576-pattern budget$"
+    with pytest.raises(CapacityError, match=r"^enumerating 2\^53 " + budget):
+        shifts.SftSpec(free_space, 3, frozenset()).forbidden
+    with pytest.raises(CapacityError,
+                       match=r"^enumerating the complement of 2\^53 " + budget):
+        sft_from_forbidden(free_space, 3, [])
 
 
 def test_forbidden_complement_round_trip(line_space):
