@@ -1,13 +1,18 @@
 """Command line front end.
 
-Exit codes: 0 the experiment ran and every checked property held; 1 the
-experiment ran but a property failed (including generation failures, which
-are negative results, not crashes); 2 the config was rejected, or a file it
-involves could not be read or written (the config itself, a chain CSV it
-reads, a CSV side file or the ``--out`` report), each reported on one line;
-3 a capacity budget was exceeded before the experiment could finish,
-including a torus backward iteration that does not converge within its
-iteration cap, reported on one line.
+Exit codes: 0 the experiment ran and every checked property held; 1 it ran
+but a property failed; 2 the config was rejected; 3 a capacity budget was
+exceeded before the experiment could finish.
+
+The commands only raise.  ``main`` turns a failure into one stderr line,
+``<prefix>: <message>``, and an exit code through the ``FAILURES`` table,
+first match wins: ``ConfigError`` is "config error" (2), ``CapacityError``
+"capacity exceeded" (3), ``GenerationError`` "generation failed" (1, a
+negative result, not a crash) and any other ``ValueError`` "config error"
+(2).  A file the config involves that cannot be read or written (the config
+itself, a chain CSV it reads, a CSV side file or the ``--out`` report) is a
+config error; a torus backward iteration that does not converge within its
+iteration cap is a capacity error.
 """
 
 from __future__ import annotations
@@ -25,15 +30,22 @@ EXIT_PROPERTY = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
+FAILURES = (
+    (ConfigError, "config error", EXIT_CONFIG),
+    (CapacityError, "capacity exceeded", EXIT_CAPACITY),
+    (GenerationError, "generation failed", EXIT_PROPERTY),
+    (ValueError, "config error", EXIT_CONFIG),
+)
+
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: "
                           f"{exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
 
 
@@ -42,32 +54,18 @@ def _render(report: dict) -> str:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _load_config(args.config)
-        started = time.monotonic()
-        report, passed = run_config(config)
-        elapsed = time.monotonic() - started
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapacityError as exc:
-        print(f"capacity exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except GenerationError as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_config(args.config)
+    started = time.monotonic()
+    report, passed = run_config(config)
+    elapsed = time.monotonic() - started
     text = _render(report)
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"config error: cannot write {args.out}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"cannot write {args.out}: "
+                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -75,23 +73,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        config = _load_config(args.config)
-        validate_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_config(args.config)
+    validate_config(config)
     print(f"{args.config}: valid ({config['experiment']})")
     return EXIT_PASS
 
 
 def _cmd_schema(args) -> int:
-    try:
-        schema = parameter_schema(args.experiment) if args.experiment \
-            else CONFIG_SCHEMA
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    schema = parameter_schema(args.experiment) if args.experiment \
+        else CONFIG_SCHEMA
     sys.stdout.write(json.dumps(schema, indent=2, sort_keys=True) + "\n")
     return EXIT_PASS
 
@@ -120,7 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        for kind, prefix, code in FAILURES:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

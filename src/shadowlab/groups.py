@@ -197,10 +197,13 @@ class GroupElement:
         object.__setattr__(self, "_hash", hash(tuple(map(_double, self.payload))))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return multiply(self, other)
+        if self.family != other.family:
+            raise ValueError(f"family mismatch: {self.family} vs {other.family}")
+        return GroupElement(self.family,
+                            self.family.multiply_payload(self.payload, other.payload))
 
     def __invert__(self) -> "GroupElement":
-        return inverse(self)
+        return GroupElement(self.family, self.family.inverse_payload(self.payload))
 
     def __hash__(self) -> int:
         return self._hash
@@ -213,20 +216,6 @@ class GroupElement:
         return f"<{self.family.label(self.payload)}>"
 
 
-def identity(family) -> GroupElement:
-    return GroupElement(family, family.identity_payload())
-
-
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.family != b.family:
-        raise ValueError(f"family mismatch: {a.family} vs {b.family}")
-    return GroupElement(a.family, a.family.multiply_payload(a.payload, b.payload))
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    return GroupElement(a.family, a.family.inverse_payload(a.payload))
-
-
 def _symmetrize(family, generators: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
     seen = []
     for g in generators:
@@ -237,7 +226,7 @@ def _symmetrize(family, generators: Iterable[GroupElement]) -> tuple[GroupElemen
         if g not in seen:
             seen.append(g)
     for g in list(seen):
-        gi = inverse(g)
+        gi = ~g
         if gi not in seen:
             seen.append(gi)
     return tuple(seen)
@@ -276,7 +265,7 @@ class GroupSpec:
                 f"within radius {SPAN_CHECK_RADIUS}; not accepted as a generating set")
 
     def identity(self) -> GroupElement:
-        return identity(self.family)
+        return GroupElement(self.family, self.family.identity_payload())
 
 
 class GroupGeometry:
@@ -344,13 +333,15 @@ class GroupGeometry:
         self._ball_sizes.append(len(self._elements))
 
     def ensure_radius(self, k: int) -> None:
+        """Grow the balls through radius k; every radius-taking method
+        checks its radius here."""
+        if k < 0:
+            raise ValueError("radius must be nonnegative")
         while self.max_radius_built() < k:
             self._grow_one_layer()
 
     def ball(self, k: int) -> tuple[GroupElement, ...]:
         """The word-metric ball of radius k, in deterministic BFS order."""
-        if k < 0:
-            raise ValueError("radius must be nonnegative")
         self.ensure_radius(k)
         return tuple(self._elements[: self._ball_sizes[k]])
 
@@ -404,13 +395,11 @@ class GroupGeometry:
         key = (src_radius, dst_radius)
         tables = self._translations.get(key)
         if tables is None:
-            if src_radius < 0:
-                raise ValueError("radius must be nonnegative")
             self.ensure_radius(dst_radius)
             tables = []
             if dst_radius >= src_radius:
                 mul, parent, via = self._mul, self._parent, self._via
-                tables.append(tuple(range(self._ball_sizes[src_radius])))
+                tables.append(tuple(range(self.ball_size(src_radius))))
                 for i in range(1, self._ball_sizes[dst_radius - src_radius]):
                     # h*g_i = (h*g_parent) * g_via, and parents come first
                     tables.append(tuple(map(mul[via[i]].__getitem__,
@@ -437,8 +426,8 @@ class GroupGeometry:
         ball(radius) index of a*g_i, a running over generator indices."""
         table = self._step_tables.get(radius)
         if table is None:
+            n = self.ball_size(radius)
             self.ensure_radius(radius + 1)
-            n = self._ball_sizes[radius]
             lefts = [[mul[0]] for mul in self._mul]  # a*e = a
             for left in lefts:
                 # a*g_i = (a*g_parent) * g_via, and parents come first
@@ -448,13 +437,6 @@ class GroupGeometry:
                 tuple((a, left[i]) for a, left in enumerate(lefts) if left[i] < n)
                 for i in range(n))
         return table
-
-
-def rewrite_generator(a: GroupElement, target_spec: GroupSpec,
-                      max_radius: int) -> Optional[list[GroupElement]]:
-    """A geodesic word over target_spec's generators whose product is ``a``,
-    or None when no word of length <= max_radius exists."""
-    return GroupGeometry(target_spec).word(a, max_radius)
 
 
 def integer_line_spec() -> GroupSpec:

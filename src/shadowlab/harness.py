@@ -14,8 +14,6 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConfigError
 from .groups import (
     free_rank2_spec,
@@ -88,6 +86,9 @@ _SFT_BUILDERS = {
 _SFT_ENUM = sorted(_SFT_BUILDERS)
 _GROUP_ENUM = sorted(_GROUPS)
 
+# every entry has an exact float copy, which the toral experiments compute with
+_MATRIX_ENTRY = {"type": "integer", "minimum": -2 ** 53, "maximum": 2 ** 53}
+
 _PARAMETER_SCHEMAS = {
     "sft-trace": {
         "type": "object",
@@ -152,7 +153,7 @@ _PARAMETER_SCHEMAS = {
             "matrix": {
                 "type": "array", "minItems": 1,
                 "items": {"type": "array", "minItems": 1,
-                          "items": {"type": "integer"}},
+                          "items": _MATRIX_ENTRY},
             },
             "amplitude": {"type": "number", "minimum": 0},
             "window": {"type": "integer", "minimum": 1, "maximum": 64},
@@ -195,7 +196,7 @@ _PARAMETER_SCHEMAS = {
             "matrix": {
                 "type": "array", "minItems": 2, "maxItems": 2,
                 "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                          "items": {"type": "integer"}},
+                          "items": _MATRIX_ENTRY},
             },
             "target_tolerance": {"type": "number", "exclusiveMinimum": 0},
             "grid_points": {"type": "integer", "minimum": 1, "maximum": 5000},
@@ -254,12 +255,6 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     return obj
 
 

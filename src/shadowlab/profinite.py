@@ -124,13 +124,6 @@ class QuotientChain:
     def children(self, n: int, parent_class: int) -> tuple[int, ...]:
         return self._children[n][parent_class]
 
-    def word_for(self, g: GroupElement) -> list[GroupElement]:
-        word = self.geometry.word(g, _WORD_SEARCH_RADIUS)
-        if word is None:
-            raise CapacityError(f"no generator word for {g!r} within "
-                                f"radius {_WORD_SEARCH_RADIUS}")
-        return word
-
 
 @dataclass(frozen=True)
 class ProfinitePoint:
@@ -152,8 +145,12 @@ class ProfinitePoint:
 def act_point(chain: QuotientChain, g: GroupElement,
               x: ProfinitePoint) -> ProfinitePoint:
     """Left action of an arbitrary element, composed along a geodesic word."""
+    word = chain.geometry.word(g, _WORD_SEARCH_RADIUS)
+    if word is None:
+        raise CapacityError(f"no generator word for {g!r} within "
+                            f"radius {_WORD_SEARCH_RADIUS}")
     path = x.path
-    for gen in reversed(chain.word_for(g)):
+    for gen in reversed(word):
         tables = chain.tables[gen]
         path = tuple(tables[n][c] for n, c in enumerate(path))
     return ProfinitePoint(chain, path)

@@ -100,7 +100,7 @@ def mat_sup_norm(A: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class ExpansivenessCertificate:
-    verdict: str          # "expansive" | "not_expansive" | "indeterminate"
+    verdict: str          # "expansive" | "not_expansive"
     method: str           # "numeric" | "exact"
     detail: str
 
@@ -571,15 +571,16 @@ def generating_set_transfer(base: IntMatrix, delta_prime: float, rng: Random,
     tolerance of the unperturbed action.  The report carries the measured
     sup deviations so the budget argument is checked, not assumed.
     """
-    from .groups import GroupElement, GroupSpec, IntegerLattice, rewrite_generator
+    from .groups import GroupElement, GroupGeometry, GroupSpec, IntegerLattice
 
     base = as_int_matrix(base)
     fam = IntegerLattice(2)
     spec_std = GroupSpec(fam, (GroupElement(fam, (1, 0)), GroupElement(fam, (0, 1))))
     spec_skew = GroupSpec(fam, (GroupElement(fam, (1, 0)), GroupElement(fam, (1, 1))))
+    geo_skew = GroupGeometry(spec_skew)
     words = {}
     for a in spec_std.generators:
-        word = rewrite_generator(a, spec_skew, max_radius=6)
+        word = geo_skew.word(a, 6)
         if word is None:
             raise ValueError("skew set fails to express a standard generator")
         words[a] = word

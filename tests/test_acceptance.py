@@ -19,7 +19,6 @@ from shadowlab.groups import (
     GroupGeometry,
     free_rank2_spec,
     heisenberg_spec,
-    identity,
     integer_line_spec,
     integer_plane_spec,
 )
@@ -294,7 +293,7 @@ ALL_SPECS = (integer_line_spec, integer_plane_spec, free_rank2_spec,
 
 
 def _random_element(geo, rng, length=6):
-    g = identity(geo.spec.family)
+    g = geo.spec.identity()
     for _ in range(length):
         g = g * rng.choice(geo.spec.generators)
     return g
@@ -303,7 +302,7 @@ def _random_element(geo, rng, length=6):
 def test_group_axioms_hold_exhaustively_and_randomized():
     for make in ALL_SPECS:
         geo = GroupGeometry(make())
-        e = identity(geo.spec.family)
+        e = geo.spec.identity()
         small = list(geo.ball(1))
         for g, h, k in itertools.product(small, repeat=3):
             assert (g * h) * k == g * (h * k)
@@ -340,7 +339,7 @@ def test_configuration_metric_is_ultrametric():
 
 def test_shift_satisfies_the_action_law():
     line = _line_space()
-    e = identity(line.geometry.spec.family)
+    e = line.geometry.spec.identity()
     small = list(line.geometry.ball(1))
     for cells in itertools.product((0, 1), repeat=5):
         x = Configuration(line, 2, cells)

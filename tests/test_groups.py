@@ -15,9 +15,8 @@ from shadowlab.groups import (
     heisenberg_spec,
     integer_line_spec,
     integer_plane_spec,
-    rewrite_generator,
 )
-from shadowlab.shifts import ShiftSpace
+from shadowlab.shifts import Configuration, ShiftSpace
 
 
 BALL_SIZES = {
@@ -130,7 +129,7 @@ def test_heisenberg_central_element_needs_four_letters():
     b = GroupElement(fam, (0, 1, 0))
     c = GroupElement(fam, (0, 0, 1))
     two_gen = GroupSpec(fam, generators=(a, b))
-    word = rewrite_generator(c, two_gen, 6)
+    word = GroupGeometry(two_gen).word(c, 6)
     assert word is not None and len(word) == 4
     prod = two_gen.identity()
     for letter in word:
@@ -147,13 +146,14 @@ def test_rewrite_between_plane_generating_sets():
     e1 = GroupElement(fam, (1, 0))
     e2 = GroupElement(fam, (0, 1))
     skew = GroupSpec(fam, generators=(e1, e1 * e2))
-    word = rewrite_generator(e2, skew, 4)
+    skew_geo = GroupGeometry(skew)
+    word = skew_geo.word(e2, 4)
     assert word is not None and len(word) == 2
     prod = skew.identity()
     for letter in word:
         prod = prod * letter
     assert prod == e2
-    assert rewrite_generator(std.identity(), skew, 4) == []
+    assert skew_geo.word(std.identity(), 4) == []
 
 
 def test_free_group_words_reduce_but_do_not_collapse():
@@ -194,6 +194,20 @@ def test_word_length_beyond_radius_is_none(geometries):
         far = far * spec.generators[0]
     assert geo.word_length(far, 3) is None
     assert geo.word_length(far, 5) == 5
+
+
+def test_negative_radius_is_refused():
+    geo = GroupGeometry(free_rank2_spec())
+    geo.ball(3)
+    e = geo.spec.identity()
+    refusals = [lambda: geo.ball(-1), lambda: geo.ball_size(-1),
+                lambda: geo.position(e, -1), lambda: geo.step_table(-1),
+                lambda: geo.translation_tables(-1, 2),
+                lambda: geo.translation_tables(0, -1),
+                lambda: Configuration(ShiftSpace(geo), -1, (0,) * 53)]
+    for call in refusals:
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            call()
 
 
 def _table_specs():
@@ -271,7 +285,7 @@ def test_words_follow_the_parent_pointers_geodesically(name):
         for letter in word:
             prod = prod * letter
         assert prod == g
-        assert rewrite_generator(g, spec, top) == word
+        assert GroupGeometry(spec).word(g, top) == word
     assert geo.word(geo.ball(top)[-1], top - 1) is None
 
 

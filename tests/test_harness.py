@@ -81,8 +81,6 @@ def test_jsonable_rendering():
                                                      "value": "1/8"}
     assert to_jsonable(Fraction(3, 4)) == "3/4"
     assert to_jsonable((1, [2, Fraction(1, 2)])) == [1, [2, "1/2"]]
-    assert to_jsonable(np.float64(0.5)) == 0.5
-    assert to_jsonable(np.arange(3)) == [0, 1, 2]
     assert json.dumps(to_jsonable({"d": DyadicDistance(2, True)}))
 
 
@@ -371,6 +369,34 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     assert main(["run", out_of_range]) == 2
     assert main(["validate", out_of_range]) == 2
     capsys.readouterr()
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{bad")
+    for command in ("run", "validate"):
+        assert main([command, str(not_utf8)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: config {not_utf8} is not valid "
+                              "JSON: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("toral-stability", {"matrix": [[10 ** 400, 1], [1, 1]], "amplitude": 1e-3,
+                         "window": 8, "grid_points": 16}),
+    ("generating-set-compare", {"matrix": [[10 ** 400 + 1, 10 ** 400], [1, 1]],
+                                "target_tolerance": 0.01, "grid_points": 16}),
+])
+def test_cli_matrix_entry_beyond_an_exact_float_is_exit_two(
+        tmp_path, capsys, experiment, params):
+    # the toral numerics use a float copy of the matrix, which such an
+    # entry would overflow
+    path = _write(tmp_path, "cfg.json",
+                  {"experiment": experiment, "seed": 0, "parameters": params})
+    assert main(["run", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config invalid at matrix/0/")
+    assert err.endswith(" is greater than the maximum of 9007199254740992\n")
 
 
 def test_cli_property_failure_is_exit_one(tmp_path, capsys):

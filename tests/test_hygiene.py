@@ -12,6 +12,12 @@ or class and every non-dunder method under ``src/`` must be named, as a name
 or an attribute, somewhere outside its own definition.  Imports and tests do
 not count, so a definition that only its tests or an export keep alive
 fails.
+
+The export check reads ``src/shadowlab/__init__.py``: every name it
+imports must be used from the top level somewhere in ``tests/``,
+``perfbench/`` or the README, as ``shadowlab.<name>`` or in a
+``from shadowlab import`` line.  It searches text, since code run in a
+fresh interpreter names its imports inside a string.
 """
 
 import ast
@@ -86,6 +92,15 @@ def _unreached(sources, checked):
             if named[node.name] == _names(node)[node.name]]
 
 
+def _unused_exports(init_source, text):
+    """Names the package ``__init__`` imports that ``text`` never uses from
+    the top level."""
+    imported = " ".join(re.findall(r"from shadowlab import (\([^)]*\)|.*)", text))
+    return [name for name, _ in _bindings(ast.parse(init_source))
+            if not re.search(rf"\bshadowlab\.{name}\b", text)
+            and not re.search(rf"\b{name}\b", imported)]
+
+
 def _declared_dependencies():
     if sys.version_info >= (3, 11):
         import tomllib
@@ -123,6 +138,15 @@ def test_every_src_definition_is_reached_from_src_or_perfbench():
     assert _unreached(sources, checked) == []
 
 
+def test_every_top_level_export_is_used_from_the_top_level():
+    own = Path(__file__).resolve()
+    texts = [path.read_text() for path in _modules("tests", "perfbench")
+             if path != own]
+    texts.append((ROOT / "README.md").read_text())
+    init = ROOT / "src" / PACKAGE / "__init__.py"
+    assert _unused_exports(init.read_text(), "\n".join(texts)) == []
+
+
 def test_the_checks_see_what_they_should():
     probe = ("from __future__ import annotations\nimport os\n"
              "import numpy as np\nfrom typing import Optional\n"
@@ -141,3 +165,9 @@ def test_the_checks_see_what_they_should():
              "b.py": "from a import only_itself, Box\n\nx = Box().v\n"}
     assert _unreached(probe, ["a.py"]) == ["a.py: only_itself", "a.py: Box.dead"]
     assert _unreached(probe, ["b.py"]) == []
+    init = ("from .a import (one, two,\n    three)\nfrom .b import four, five\n"
+            "__version__ = '1'\n")
+    text = ("import shadowlab\nshadowlab.one()\n"
+            "from shadowlab import (\n    two,\n)\nfrom shadowlab import four\n"
+            "shadowlab.threefold()\n")
+    assert _unused_exports(init, text) == ["three", "five"]
