@@ -196,14 +196,24 @@ class GroupElement:
         # no two letters share a hash.  Kept, as every index lookup hashes.
         object.__setattr__(self, "_hash", hash(tuple(map(_double, self.payload))))
 
+    @classmethod
+    def _of_valid(cls, family, payload) -> "GroupElement":
+        """The element of a payload known to be valid, not re-validated:
+        products and inverses of valid payloads are valid."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "family", family)
+        object.__setattr__(g, "payload", payload)
+        object.__setattr__(g, "_hash", hash(tuple(map(_double, payload))))
+        return g
+
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.family != other.family:
             raise ValueError(f"family mismatch: {self.family} vs {other.family}")
-        return GroupElement(self.family,
-                            self.family.multiply_payload(self.payload, other.payload))
+        return self._of_valid(self.family,
+                              self.family.multiply_payload(self.payload, other.payload))
 
     def __invert__(self) -> "GroupElement":
-        return GroupElement(self.family, self.family.inverse_payload(self.payload))
+        return self._of_valid(self.family, self.family.inverse_payload(self.payload))
 
     def __hash__(self) -> int:
         return self._hash

@@ -23,10 +23,12 @@ graph).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from random import Random
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -80,6 +82,7 @@ class ShiftSpace:
         self.alphabet = alphabet
         self._window_readers: dict[tuple[int, int], tuple[Callable, ...]] = {}
         self._window_plans: dict[tuple[int, int, bool], tuple] = {}
+        self._window_orders: dict[tuple[int, int], tuple] = {}
 
     @property
     def spec(self) -> GroupSpec:
@@ -125,6 +128,18 @@ class ShiftSpace:
             plan = tuple(tuple(ws) for ws in by_cell)
             self._window_plans[key] = plan
         return plan
+
+    def window_order(self, radius: int, window_radius: int):
+        """``window_plan`` flattened: its readers in the order of the ball
+        positions that complete them, and those positions, nondecreasing."""
+        key = (radius, window_radius)
+        order = self._window_orders.get(key)
+        if order is None:
+            plan = self.window_plan(radius, window_radius)
+            order = self._window_orders[key] = (
+                tuple(itertools.chain.from_iterable(plan)),
+                tuple(pos for pos, ws in enumerate(plan) for _ in ws))
+        return order
 
 
 @dataclass(frozen=True)
@@ -247,6 +262,20 @@ class SftSpec:
     def forbidden(self) -> frozenset[tuple[int, ...]]:
         return frozenset(c for c in self.all_window_cells() if c not in self.allowed)
 
+    @cached_property
+    def safe_symbol(self) -> Optional[int]:
+        """The least symbol that no forbidden window pattern holds, or None.
+
+        A window holding it is always allowed, so a fill that falls back on
+        it never backtracks.  Symbol s is safe when the allowed patterns
+        holding s are all n^k - (n-1)^k patterns of k cells that hold it.
+        """
+        n, k = self.space.alphabet.size, self.window_size
+        for s in range(n):
+            if sum(s in cells for cells in self.allowed) == n ** k - (n - 1) ** k:
+                return s
+        return None
+
 
 def sft_from_forbidden(space: ShiftSpace, window_radius: int,
                        forbidden: Sequence[tuple[int, ...]]) -> SftSpec:
@@ -290,6 +319,26 @@ def _candidate_order(n: int, code: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+# getrandbits(2) is the top two bits of one 32-bit word; a binary draw keeps
+# the first word whose top bit is clear, and its code is the next bit
+_KEPT_CODE = bytes(t >> 6 for t in range(128)) + bytes(128)
+_TOP_BIT_SET = bytes(range(128, 256))
+
+
+def _binary_codes(getrandbits: Callable[[int], int], count: int) -> bytearray:
+    """The codes of ``count`` binary candidate draws (each the first
+    ``getrandbits(2)`` value at most 1), leaving the generator as those draws
+    would.  Each round takes one word per code still needed, which the draws
+    would take anyway; ``getrandbits(32 * j)`` holds its j words least
+    significant first."""
+    codes = bytearray()
+    while len(codes) < count:
+        need = count - len(codes)
+        words = getrandbits(32 * need).to_bytes(4 * need, "little")
+        codes += words[3::4].translate(_KEPT_CODE, _TOP_BIT_SET)
+    return codes
+
+
 class _Fill:
     """Backtracking filler/enumerator for locally admissible assignments.
 
@@ -297,7 +346,9 @@ class _Fill:
     RNG) is a tuple memoised in ``orders`` by its draw code, at most one per
     node, and per-position lists made once per search keep each position's
     order and its count of untried candidates, tried from the back.  A search
-    visits at most ``NODE_BUDGET`` nodes, read when it starts.
+    visits at most ``NODE_BUDGET`` nodes, read when it starts.  Where the
+    search cannot backtrack, ``one_pass`` finds its first random solution
+    without one.
     """
 
     def __init__(self, space: ShiftSpace, sft: SftSpec, radius: int,
@@ -394,14 +445,61 @@ class _Fill:
                     if limit is not None and emitted >= limit:
                         return
 
+    def one_pass_fits(self) -> bool:
+        """Whether ``one_pass`` finds what ``solutions`` would first: a
+        random fill over two symbols of an SFT with a safe symbol, a prefix
+        of those symbols, and room for two nodes per free position."""
+        return (self.rng is not None and self.space.alphabet.size == 2
+                and self.sft.safe_symbol is not None
+                and 2 * (self.size - len(self.prefix)) <= NODE_BUDGET
+                and all(map((0, 1).__contains__, self.prefix)))
+
+    def one_pass(self) -> Optional[tuple[int, ...]]:
+        """The first solution of ``solutions(limit=1)``, or None, found
+        with no search when ``one_pass_fits``.
+
+        A position holding the safe symbol passes every window, so the
+        search never backtracks: it draws one code per position in ball
+        order, places that code, and switches to the safe symbol exactly
+        where a window the position completes rejects the code.  So does
+        this pass, with the same draws and the same node count.  Over two
+        symbols the one pattern without the safe symbol is the constant
+        pattern of the other, so it is the only one a window can be
+        rejected for.
+        """
+        safe = self.sft.safe_symbol
+        unsafe = (1 - safe,) * self.sft.window_size
+        readers, ends = self.space.window_order(self.radius, self.sft.window_radius)
+        if unsafe in self.sft.allowed:  # the full shift: no window rejects
+            readers, ends = (), ()
+        start = len(self.prefix)
+        cut = bisect_left(ends, start)
+        cells = list(self.prefix)
+        read = methodcaller("__call__", cells)
+        if unsafe in map(read, readers[:cut]):
+            return None
+        cells += _binary_codes(self.rng.getrandbits, self.size - start)
+        switches = 0
+        # lazy, so each window is read after the switches at the cells it holds
+        rejected = map(unsafe.__eq__, map(read, readers[cut:]))
+        for pos in itertools.compress(ends[cut:], rejected):
+            cells[pos] = safe
+            switches += 1
+        self.nodes += self.size - start + switches
+        return tuple(cells)
+
 
 def random_admissible(space: ShiftSpace, sft: SftSpec, radius: int, rng: Random,
                       prefix: Optional[tuple[int, ...]] = None) -> Configuration:
     fill = _Fill(space, sft, radius, prefix=prefix, rng=rng)
-    for cells in fill.solutions(limit=1):
-        return Configuration(space, radius, cells)
-    raise GenerationError(
-        f"no locally admissible configuration on ball({radius}) with the given prefix")
+    if fill.one_pass_fits():
+        cells = fill.one_pass()
+    else:
+        cells = next(fill.solutions(limit=1), None)
+    if cells is None:
+        raise GenerationError(
+            f"no locally admissible configuration on ball({radius}) with the given prefix")
+    return Configuration(space, radius, cells)
 
 
 def enumerate_admissible(space: ShiftSpace, sft: SftSpec,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowlab.groups import (
+    FreeGroup,
     GroupElement,
     GroupGeometry,
     GroupSpec,
@@ -296,3 +297,23 @@ def test_elements_of_a_ball_hash_apart(name):
     geo = GroupGeometry(BALL_SIZES[name][0]())
     ball = geo.ball(6)
     assert len({hash(g) for g in ball}) == len(ball)
+
+
+@pytest.mark.parametrize("make, radius", [(free_rank2_spec, 6),
+                                          (integer_plane_spec, 6),
+                                          (heisenberg_spec, 4)])
+def test_grown_elements_are_valid_though_products_skip_validation(make, radius):
+    # products and inverses are built without re-validating their payload
+    spec = make()
+    family = spec.family
+    for g in GroupGeometry(spec).ball(radius):
+        family.validate_payload(g.payload)
+        family.validate_payload((~g).payload)
+        assert g == GroupElement(family, g.payload)
+        assert hash(g) == hash(GroupElement(family, g.payload))
+    bad = {FreeGroup: [(1, -1), (3,), (0,), [1]],
+           IntegerLattice: [(1,), (1, 0, 0), (1.0, 0), [1, 0]],
+           HeisenbergGroup: [(1, 0), (0, 0, 0.5), [0, 0, 0]]}[type(family)]
+    for payload in bad:  # the public constructor still refuses
+        with pytest.raises(ValueError):
+            GroupElement(family, payload)

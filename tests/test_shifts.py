@@ -38,7 +38,9 @@ from shadowlab.shifts import (
     shift,
     ShiftSpace,
     _Fill,
+    _binary_codes,
 )
+from shadowlab.shadowing import generate_pseudo_orbit, potp_modulus
 
 
 @pytest.fixture(scope="module")
@@ -518,3 +520,177 @@ def test_wide_alphabet_fill_memoises_at_most_one_order_per_node(monkeypatch):
         assert ours.rng.getstate() == ref.rng.getstate()
         assert 0 < len(ours.orders) <= ours.nodes
         assert all(sorted(order) == list(range(12)) for order in ours.orders.values())
+
+
+# --- one-pass fills ------------------------------------------------------------
+# Over two symbols with a safe symbol the search never backtracks, and
+# random_admissible fills in one pass; it must still match the reference
+# fill cell for cell, draw for draw and node for node.
+
+
+def _zeros_forbidden_sft(space):
+    """Forbid the all-zeros window on ball(1): its safe symbol is 1."""
+    return sft_from_forbidden(space, 1, [(0,) * space.geometry.ball_size(1)])
+
+
+_ONE_PASS_CASES = [
+    ("free", one_forbidden_window_sft, 7),
+    ("heisenberg", one_forbidden_window_sft, 4),
+    ("plane", one_forbidden_window_sft, 10),
+    ("line", _zeros_forbidden_sft, 40),
+    ("line", full_shift, 40),
+    ("plane", full_shift, 8),
+]
+
+
+@pytest.mark.parametrize("name, build, radius", _ONE_PASS_CASES)
+def test_one_pass_matches_the_shuffle_reference_at_scale(name, build, radius):
+    space = _oracle_spaces()[name]
+    sft = build(space)
+    geo = space.geometry
+    constant = (1 - sft.safe_symbol,) * geo.ball_size(1)
+    refused = 0
+    for seed in range(24):
+        kept = next(_RefFill(space, sft, radius, rng=Random(seed)).solutions(1))
+        # no prefix, a kept inner ball, random cells and the constant window
+        # without the safe symbol: unless the SFT is the full shift, its
+        # forbidden pattern, which rejects the last prefix and most random ones
+        random_cells = tuple(Random(seed).randrange(2)
+                             for _ in range(geo.ball_size(radius // 2)))
+        for prefix in (None, kept[:geo.ball_size(radius - 2)], random_cells,
+                       constant):
+            ours = _Fill(space, sft, radius, prefix=prefix, rng=Random(seed + 1))
+            assert ours.one_pass_fits()
+            ref = _RefFill(space, sft, radius, prefix=prefix, rng=Random(seed + 1))
+            expected = next(ref.solutions(1), None)
+            assert ours.one_pass() == expected
+            assert ours.nodes == ref.nodes
+            assert ours.rng.getstate() == ref.rng.getstate()
+            rng = Random(seed + 1)
+            try:
+                got = random_admissible(space, sft, radius, rng, prefix).cells
+            except GenerationError:
+                got = None
+            assert got == expected
+            assert rng.getstate() == ref.rng.getstate()
+            refused += expected is None
+    assert (refused > 0) == (build is not full_shift)
+
+
+def _recorded_fills(monkeypatch, reference):
+    """Swap in a fill that records itself; with ``reference``, every
+    random_admissible runs the shuffle reference instead."""
+    fills = []
+
+    class Recorded(_Fill):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if not reference:
+                fills.append(self)
+
+        def one_pass_fits(self):
+            return not reference and super().one_pass_fits()
+
+        def solutions(self, limit=None):
+            assert reference, "a one-pass fill fell back to the search"
+            ref = _RefFill(self.space, self.sft, self.radius, self.prefix,
+                           self.rng)
+            fills.append(ref)
+            return ref.solutions(limit)
+
+    monkeypatch.setattr(shifts, "_Fill", Recorded)
+    return fills
+
+
+@pytest.mark.parametrize("name, inner", [("free", 6), ("heisenberg", 6)])
+def test_perturbed_fields_fill_in_one_pass_as_the_reference_does(
+        name, inner, monkeypatch):
+    space = _oracle_spaces()[name]
+    sft = one_forbidden_window_sft(space)
+    plan = potp_modulus(1, Fraction(1, 2))
+    perturbed = 0
+    for seed in range(20):
+        runs = []
+        for reference in (False, True):
+            fills = _recorded_fills(monkeypatch, reference)
+            rng = Random(seed)
+            orbit = generate_pseudo_orbit(sft, 1, plan, rng, inner_radius=inner)
+            runs.append((orbit.entries, orbit.perturbed_cells, rng.getstate(),
+                         [f.nodes for f in fills]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][3]) == 1 + space.geometry.ball_size(1)
+        perturbed += len(orbit.perturbed_cells)
+    assert perturbed > 0
+
+
+def test_one_pass_leaves_a_tight_budget_to_the_search(free_space, monkeypatch):
+    sft = one_forbidden_window_sft(free_space)
+    m = free_space.geometry.ball_size(6)
+    for seed in range(6):
+        full = _RefFill(free_space, sft, 6, rng=Random(seed))
+        expected = next(full.solutions(1))
+        assert m < full.nodes < 2 * m  # a switch or more, and below 2m
+        for budget, refused in ((full.nodes, False), (full.nodes - 1, True)):
+            monkeypatch.setattr(shifts, "NODE_BUDGET", budget)
+            fill = _Fill(free_space, sft, 6, rng=Random(seed))
+            assert not fill.one_pass_fits()
+            ref = _RefFill(free_space, sft, 6, rng=Random(seed), node_budget=budget)
+            rng = Random(seed)
+            if refused:
+                with pytest.raises(CapacityError):
+                    random_admissible(free_space, sft, 6, rng)
+                with pytest.raises(CapacityError):
+                    next(ref.solutions(1))
+            else:
+                assert random_admissible(free_space, sft, 6, rng).cells \
+                    == next(ref.solutions(1)) == expected
+            assert rng.getstate() == ref.rng.getstate()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 1000, 40_000])
+def test_word_block_draws_are_the_sequential_binary_draws(count):
+    # relies on getrandbits(32 * j) holding j whole words, first word lowest
+    for seed in range(4):
+        rng, ref_rng = Random(seed), Random(seed)
+        expected = []
+        for _ in range(count):
+            code = ref_rng.getrandbits(2)
+            while code > 1:
+                code = ref_rng.getrandbits(2)
+            expected.append(code)
+        assert list(_binary_codes(rng.getrandbits, count)) == expected
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_safe_symbols(line_space, plane_space, free_space):
+    assert one_forbidden_window_sft(free_space).safe_symbol == 0
+    assert one_forbidden_window_sft(plane_space).safe_symbol == 0
+    assert full_shift(free_space).safe_symbol == 0
+    assert full_shift(line_space).safe_symbol == 0
+    assert hard_square_sft(plane_space).safe_symbol is None
+    assert golden_mean_sft(line_space).safe_symbol is None
+    assert even_window_sft(line_space).safe_symbol is None
+    # over two symbols, the one forbidden pattern that avoids 1
+    assert sft_from_forbidden(line_space, 1, [(0, 0, 0)]).safe_symbol == 1
+    assert _zeros_forbidden_sft(free_space).safe_symbol == 1
+    # three symbols: only 2 avoids every forbidden pattern
+    line3 = ShiftSpace(line_space.geometry, Alphabet(("0", "1", "2")))
+    sft = sft_from_forbidden(line3, 1, [(0, 0, 0), (0, 1, 0), (1, 1, 1)])
+    assert sft.safe_symbol == 2
+    assert not _Fill(line3, sft, 3, rng=Random(0)).one_pass_fits()
+    assert sft_from_forbidden(line_space, 0, [(0,), (1,)]).safe_symbol is None
+
+
+def test_only_fills_with_a_safe_symbol_skip_the_search(free_space, plane_space,
+                                                      monkeypatch):
+    def no_search(self, limit=None):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(_Fill, "solutions", no_search)
+    sft = one_forbidden_window_sft(free_space)
+    x = random_admissible(free_space, sft, 9, Random(0))
+    assert len(x.cells) == 39_365 and locally_admissible(x, sft)
+    with pytest.raises(AssertionError, match="searched"):
+        random_admissible(plane_space, hard_square_sft(plane_space), 4, Random(0))
+    with pytest.raises(AssertionError, match="searched"):  # not a symbol
+        random_admissible(free_space, sft, 3, Random(0), prefix=(2,))
