@@ -437,15 +437,11 @@ class GroupGeometry:
         table = self._step_tables.get(radius)
         if table is None:
             n = self.ball_size(radius)
-            self.ensure_radius(radius + 1)
-            lefts = [[mul[0]] for mul in self._mul]  # a*e = a
-            for left in lefts:
-                # a*g_i = (a*g_parent) * g_via, and parents come first
-                for i in range(1, n):
-                    left.append(self._mul[self._via[i]][left[self._parent[i]]])
+            tables = self.translation_tables(1, radius + 1)
+            # a*g_i sits at generator a's ball(1) position in g_i's table
+            rows = [(a, self._index[g]) for a, g in enumerate(self.spec.generators)]
             table = self._step_tables[radius] = tuple(
-                tuple((a, left[i]) for a, left in enumerate(lefts) if left[i] < n)
-                for i in range(n))
+                tuple((a, t[p]) for a, p in rows if t[p] < n) for t in tables)
         return table
 
 

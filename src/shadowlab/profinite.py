@@ -30,7 +30,7 @@ from functools import partial
 from random import Random
 from typing import Iterable, Optional
 
-from .errors import CapacityError, GenerationError
+from .errors import CapacityError, ConfigError, GenerationError
 from .groups import (
     GroupElement,
     GroupGeometry,
@@ -437,39 +437,40 @@ def necklace_modulus_search(width: int, epsilon_exponent: int,
 
     For each candidate modulus m the adversarial field above is a legal
     2^-(m+1) step sequence, and an exhaustive scan shows no point traces it
-    within 2^-epsilon_exponent.  The search is honest: a tracer, if one
-    existed, would be found and reported.
+    within 2^-epsilon_exponent.  Neither the field nor the tracing test
+    depends on m, so one scan serves every modulus, and legality at the
+    tightest modulus covers the looser ones.  The search is honest: a
+    tracer, if one existed, would be found and reported.
     """
     system = NecklaceShift(width)
     if max_modulus is None:
         max_modulus = width - 3
     if epsilon_exponent >= width - 1:
         raise ValueError("epsilon too fine for the width")
-    tested = []
-    for m in range(epsilon_exponent, max_modulus + 1):
-        agree_prefix = m + 2  # coordinates 0..m+1 agree <=> distance < 2^-(m+1)
-        if agree_prefix > width - 1:
-            break
-        orbit = _necklace_pseudo_orbit(system, dwell=width + 2)
-        for i in range(len(orbit) - 1):
-            gap = system.distance_exponent(system.step(orbit[i]), orbit[i + 1])
-            if gap is not None and gap < agree_prefix:
-                raise GenerationError("adversarial field broke its own tolerance")
-        tested.append(m)
-        for z in system.all_points():
-            cur = z
-            traced = True
-            for target in orbit:
-                gap = system.distance_exponent(cur, target)
-                if gap is not None and gap <= epsilon_exponent:
-                    traced = False
-                    break
-                cur = system.step(cur)
-            if traced:
-                return ModulusCertificate("necklace-rotation", epsilon_exponent,
-                                          tuple(tested), True, m,
-                                          f"unexpected tracer {z}")
+    # coordinates 0..m+1 agree <=> distance < 2^-(m+1), and the field's
+    # step gap sits at coordinate width - 1
+    moduli = tuple(range(epsilon_exponent, min(max_modulus, width - 3) + 1))
+    if not moduli:
+        raise ConfigError(f"no step modulus to test: epsilon_exponent "
+                          f"{epsilon_exponent} exceeds max_modulus {max_modulus} "
+                          f"or width {width} - 3")
+    orbit = _necklace_pseudo_orbit(system, dwell=width + 2)
+    for i in range(len(orbit) - 1):
+        gap = system.distance_exponent(system.step(orbit[i]), orbit[i + 1])
+        if gap is not None and gap < moduli[-1] + 2:
+            raise GenerationError("adversarial field broke its own tolerance")
+    for z in system.all_points():
+        cur = z
+        for target in orbit:
+            gap = system.distance_exponent(cur, target)
+            if gap is not None and gap <= epsilon_exponent:
+                break
+            cur = system.step(cur)
+        else:
+            return ModulusCertificate("necklace-rotation", epsilon_exponent,
+                                      moduli[:1], True, moduli[0],
+                                      f"unexpected tracer {z}")
     return ModulusCertificate("necklace-rotation", epsilon_exponent,
-                              tuple(tested), False, None,
+                              moduli, False, None,
                               "every admissible step tolerance admits an "
                               "untraceable field")

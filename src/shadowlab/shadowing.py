@@ -72,7 +72,7 @@ def potp_modulus(window_radius: int, epsilon: Fraction) -> TracingPlan:
     m = window_radius + 1
     while Fraction(1, 2 ** m) >= epsilon:
         m += 1
-    return TracingPlan(window_radius, Fraction(epsilon), m, Fraction(1, 2 ** (m + 1)))
+    return TracingPlan(window_radius, epsilon, m, Fraction(1, 2 ** (m + 1)))
 
 
 def step_distances(act: Callable, distance: Callable, geometry,
@@ -281,7 +281,6 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
     by their restriction to ball(min(m, R)); the first ``PASSER_SAMPLES``
     passers are reported.
     """
-    eta = Fraction(eta)
     if not 2 * plan.epsilon < eta:
         return UniquenessReport(False, eta, 0, 0, 0, 0, 0, ())
     space = orbit.space
@@ -381,8 +380,6 @@ def separation_window_flip_scan(space: ShiftSpace, eta: Fraction,
     decompose over disagreement positions, so a minimal counterexample pair
     differs in exactly one cell; scanning flip positions is then complete.
     """
-    eta = Fraction(eta)
-    epsilon = Fraction(epsilon)
     geo = space.geometry
     n = geo.ball_size(test_radius)
     fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
@@ -405,8 +402,6 @@ def separation_window_pair_scan(space: ShiftSpace, sft: SftSpec, eta: Fraction,
                                 epsilon: Fraction, test_radius: int,
                                 max_window: int) -> WindowScanResult:
     """Literal all-pairs window search; exact but exponential in the ball size."""
-    eta = Fraction(eta)
-    epsilon = Fraction(epsilon)
     configs = list(enumerate_admissible(space, sft, test_radius))
     fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
     needed = 0
@@ -460,8 +455,6 @@ def separation_window_exhaustive_check(space: ShiftSpace, eta: Fraction,
     there after 2**p of them with witness [p], or passes all 2**n - 1; those
     counts are reported without the walk.
     """
-    eta = Fraction(eta)
-    epsilon = Fraction(epsilon)
     n = space.geometry.ball_size(test_radius)
     if n > 22:
         raise CapacityError(f"{n} positions means {2 ** n - 1} disagreement "
@@ -489,8 +482,6 @@ def separation_window_sampled(space: ShiftSpace, sft: SftSpec, eta: Fraction,
 
     The result is a lower bound on the window, never a proof.
     """
-    eta = Fraction(eta)
-    epsilon = Fraction(epsilon)
     fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
     needed = 0
     scanned = 0

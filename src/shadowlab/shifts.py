@@ -30,7 +30,7 @@ from functools import cached_property
 from math import factorial
 from operator import itemgetter, methodcaller
 from random import Random
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, GenerationError
 from .groups import GroupElement, GroupGeometry, GroupSpec, IntegerLattice
@@ -250,17 +250,10 @@ class SftSpec:
     def window_size(self) -> int:
         return self.space.geometry.ball_size(self.window_radius)
 
-    def all_window_cells(self) -> Iterator[tuple[int, ...]]:
-        n = self.space.alphabet.size
-        if n ** self.window_size > PATTERN_BUDGET:
-            raise CapacityError(
-                f"enumerating {n}^{self.window_size} window patterns exceeds "
-                f"the {PATTERN_BUDGET:,}-pattern budget")
-        return itertools.product(range(n), repeat=self.window_size)
-
     @property
     def forbidden(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(c for c in self.all_window_cells() if c not in self.allowed)
+        return frozenset(c for c in window_patterns(self.space, self.window_radius)
+                         if c not in self.allowed)
 
     @cached_property
     def safe_symbol(self) -> Optional[int]:
@@ -277,21 +270,29 @@ class SftSpec:
         return None
 
 
-def sft_from_forbidden(space: ShiftSpace, window_radius: int,
-                       forbidden: Sequence[tuple[int, ...]]) -> SftSpec:
-    """Complement construction: allowed = all window patterns minus forbidden."""
-    size = space.geometry.ball_size(window_radius)
-    n = space.alphabet.size
+def window_patterns(space: ShiftSpace, window_radius: int,
+                    of: str = "") -> Iterator[tuple[int, ...]]:
+    """Every cell tuple on ball(window_radius), in lexicographic order;
+    refuses up front beyond ``PATTERN_BUDGET`` of them, naming in the
+    refusal what they are enumerated ``of``."""
+    n, size = space.alphabet.size, space.geometry.ball_size(window_radius)
     if n ** size > PATTERN_BUDGET:
-        raise CapacityError(f"enumerating the complement of {n}^{size} window "
-                            f"patterns exceeds the {PATTERN_BUDGET:,}-pattern budget")
+        raise CapacityError(f"enumerating {of}{n}^{size} window patterns "
+                            f"exceeds the {PATTERN_BUDGET:,}-pattern budget")
+    return itertools.product(range(n), repeat=size)
+
+
+def sft_from_forbidden(space: ShiftSpace, window_radius: int,
+                       forbidden: Iterable[tuple[int, ...]]) -> SftSpec:
+    """Complement construction: allowed = all window patterns minus forbidden."""
+    patterns = window_patterns(space, window_radius, of="the complement of ")
+    size = space.geometry.ball_size(window_radius)
     bad = set(map(tuple, forbidden))
     for cells in bad:
         if len(cells) != size:
             raise ValueError("forbidden pattern has the wrong support size")
-    allowed = frozenset(c for c in itertools.product(range(n), repeat=size)
-                        if c not in bad)
-    return SftSpec(space, window_radius, allowed)
+    return SftSpec(space, window_radius,
+                   frozenset(c for c in patterns if c not in bad))
 
 
 def full_shift(space: ShiftSpace) -> SftSpec:
@@ -598,39 +599,27 @@ def allowed_blocks_exact_line(sft: SftSpec, k: int) -> tuple[tuple[int, ...], ..
 def golden_mean_sft(space: ShiftSpace) -> SftSpec:
     """Binary line SFT forbidding adjacent ones (window radius 1)."""
     one = space.alphabet.index("1")
-    idxs = _line_index_map(space, 1)
-    bad = []
-    for cells in itertools.product(range(space.alphabet.size), repeat=3):
-        word = tuple(cells[i] for i in idxs)
-        if (word[0] == one and word[1] == one) or (word[1] == one and word[2] == one):
-            bad.append(cells)
-    return sft_from_forbidden(space, 1, bad)
+    left, mid, right = _line_index_map(space, 1)
+    return sft_from_forbidden(space, 1, (
+        c for c in window_patterns(space, 1)
+        if c[mid] == one and one in (c[left], c[right])))
 
 
 def even_window_sft(space: ShiftSpace) -> SftSpec:
     """Binary line SFT forbidding the word 1 0 1 (window radius 1)."""
-    one = space.alphabet.index("1")
-    zero = space.alphabet.index("0")
-    idxs = _line_index_map(space, 1)
-    bad = []
-    for cells in itertools.product(range(space.alphabet.size), repeat=3):
-        word = tuple(cells[i] for i in idxs)
-        if word == (one, zero, one):
-            bad.append(cells)
-    return sft_from_forbidden(space, 1, bad)
+    one, zero = map(space.alphabet.index, "10")
+    left, mid, right = _line_index_map(space, 1)
+    return sft_from_forbidden(space, 1, (
+        c for c in window_patterns(space, 1)
+        if (c[left], c[mid], c[right]) == (one, zero, one)))
 
 
 def hard_square_sft(space: ShiftSpace) -> SftSpec:
     """Planar SFT: a one may not sit next to a one along either axis."""
-    geo = space.geometry
     one = space.alphabet.index("1")
-    center = geo.position(geo.spec.identity(), 1)
-    neighbors = [i for i in range(geo.ball_size(1)) if i != center]
-    bad = []
-    for cells in itertools.product(range(space.alphabet.size), repeat=geo.ball_size(1)):
-        if cells[center] == one and any(cells[i] == one for i in neighbors):
-            bad.append(cells)
-    return sft_from_forbidden(space, 1, bad)
+    # the identity sits at index 0 of ball(1), its neighbours after it
+    return sft_from_forbidden(space, 1, (
+        c for c in window_patterns(space, 1) if c[0] == one and one in c[1:]))
 
 
 def one_forbidden_window_sft(space: ShiftSpace) -> SftSpec:

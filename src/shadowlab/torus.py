@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -33,6 +33,11 @@ BACKWARD_TOL = 1e-13
 BACKWARD_MAX_ITER = 500
 # h-images closer than this count as collided
 COLLISION_RESOLUTION = 1e-6
+# a float step x -> x A^T + p(x) mod 1 on [0, 1)^2 rounds by at most
+# STEP_ROUNDING * (|A| + 1), 8 unit roundoffs; a transfer whose rounding may
+# pass TRANSFER_ROUNDING_SHARE of its target tolerance is refused
+STEP_ROUNDING = 2.0 ** -50
+TRANSFER_ROUNDING_SHARE = 1e-3
 
 
 def as_int_matrix(rows) -> IntMatrix:
@@ -349,8 +354,7 @@ class PerturbedMap:
 
 
 def correct_segment(A: IntMatrix, splitting: SpectralSplitting,
-                    seg: np.ndarray,
-                    error_bound: Optional[float] = None) -> np.ndarray:
+                    seg: np.ndarray, error_bound: float) -> np.ndarray:
     """Turn a finite pseudo-orbit segment into an exact orbit segment.
 
     ``seg`` has shape (N, m, n): N steps, m independent base points.  The
@@ -361,9 +365,9 @@ def correct_segment(A: IntMatrix, splitting: SpectralSplitting,
     in the ambient basis each forward multiplication by A would amplify
     the roundoff that leaks into the expanding directions.
 
-    ``error_bound``, when given, is a certified sup bound on the true step
-    error; wrapped errors are clipped to it, which strips pure roundoff
-    (and at bound 0.0 makes the correction exactly zero).
+    ``error_bound`` is a certified sup bound on the true step error;
+    wrapped errors are clipped to it, which strips pure roundoff (and at
+    bound 0.0 makes the correction exactly zero).
     """
     seg = np.asarray(seg, dtype=float)
     N = seg.shape[0]
@@ -372,8 +376,7 @@ def correct_segment(A: IntMatrix, splitting: SpectralSplitting,
     Zs, Ts = splitting.stable_basis, splitting.stable_block
     Zu, Tu = splitting.unstable_basis, splitting.unstable_block
     err = torus_wrap(seg[1:] - seg[:-1] @ An.T)
-    if error_bound is not None:
-        np.clip(err, -error_bound, error_bound, out=err)
+    np.clip(err, -error_bound, error_bound, out=err)
     s = np.zeros_like(seg)
     if Zs.shape[1] > 0:
         coord = np.zeros(seg.shape[:-1] + (Zs.shape[1],))
@@ -561,6 +564,16 @@ def plane_element_matrix(base: IntMatrix, payload: tuple[int, int]) -> IntMatrix
     return mat_pow(base, i + 2 * j)
 
 
+def _rounding_bound(matrices: list[IntMatrix]) -> float:
+    """A sup bound on the float rounding of the perturbed maps of
+    ``matrices``, applied in turn to points of [0, 1)^2.  Each map grows an
+    earlier error by at most its sup norm plus 1, as p is 1/2-Lipschitz."""
+    err = 0.0
+    for M in matrices:
+        err = (mat_sup_norm(M) + 1) * (err + STEP_ROUNDING)
+    return err
+
+
 def generating_set_transfer(base: IntMatrix, delta_prime: float, rng: Random,
                             grid_count: int = 200) -> GeneratorTransferReport:
     """Drive one Z^2 action through a second generating set and measure drift.
@@ -588,6 +601,14 @@ def generating_set_transfer(base: IntMatrix, delta_prime: float, rng: Random,
     delta1 = delta_prime / (m + 1)
     mats = {h: plane_element_matrix(base, h.payload) for h in spec_skew.generators}
     norm_bound = max(mat_sup_norm(M) for M in mats.values())
+    targets = {a: plane_element_matrix(base, a.payload) for a in spec_std.generators}
+    rounding = max(_rounding_bound([mats[h] for h in reversed(words[a])])
+                   + _rounding_bound([targets[a]]) for a in spec_std.generators)
+    if rounding > TRANSFER_ROUNDING_SHARE * delta_prime:
+        raise ConfigError(f"float rounding may move a word image by "
+                          f"{rounding:.3g}, more than {TRANSFER_ROUNDING_SHARE:g} "
+                          f"of target_tolerance {delta_prime:g}: the matrix "
+                          "entries are too large")
     delta = delta1 / norm_bound
     amplitude = 0.4 * delta
     maps = {h: PerturbedMap(mats[h], random_displacement(2, amplitude, rng))
@@ -599,7 +620,7 @@ def generating_set_transfer(base: IntMatrix, delta_prime: float, rng: Random,
         cur = pts
         for h in reversed(words[a]):
             cur = maps[h].forward(cur)
-        target_mat = np.array(plane_element_matrix(base, a.payload), dtype=float)
+        target_mat = np.array(targets[a], dtype=float)
         target = (pts @ target_mat.T) % 1.0
         dev = float(np.max(torus_distance(cur, target)))
         label = f"({a.payload[0]},{a.payload[1]})"

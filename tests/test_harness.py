@@ -399,6 +399,32 @@ def test_cli_matrix_entry_beyond_an_exact_float_is_exit_two(
     assert err.endswith(" is greater than the maximum of 9007199254740992\n")
 
 
+@pytest.mark.parametrize("k, bound", [(20, "2.15e+09"), (53, "1.17e+49")])
+def test_cli_transfer_decided_by_rounding_is_exit_two(tmp_path, capsys, k, bound):
+    cfg = {"experiment": "generating-set-compare", "seed": 0,
+           "parameters": {"matrix": [[2 ** k, 2 ** k - 1], [1, 1]],
+                          "target_tolerance": 0.05, "grid_points": 40}}
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"config error: float rounding may move a word image by "
+                   f"{bound}, more than 0.001 of target_tolerance 0.05: the "
+                   "matrix entries are too large\n")
+
+
+def test_cli_necklace_with_no_modulus_to_test_is_exit_two(tmp_path, capsys):
+    cfg = {"experiment": "cantor-trace", "seed": 0,
+           "parameters": {"system": "necklace", "width": 12,
+                          "epsilon_exponent": 5, "max_modulus": 2}}
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: no step modulus to test: epsilon_exponent 5 "
+                   "exceeds max_modulus 2 or width 12 - 3\n")
+
+
 def test_cli_property_failure_is_exit_one(tmp_path, capsys):
     cfg = {"experiment": "expansiveness-window", "seed": 0,
            "parameters": {"group": "integer-line", "eta": "1/2",

@@ -1,9 +1,11 @@
-"""Code hygiene: no unused imports, no undeclared third-party modules, and
-no definition that the program never names.
+"""Code hygiene: no unused imports, no undeclared third-party modules, no
+unused dependency, and no definition that the program never names.
 
 The import checks read the AST of every module under ``src/`` and
 ``tests/``.  An import counts as used when its bound name appears anywhere
-in the module as a name (attribute chains start with one).  Package
+in the module as a name (attribute chains start with one).  Every
+``[project] dependencies`` entry must be the root of an absolute import
+under ``src/``, so a dependency the code stops using cannot stay declared.  Package
 ``__init__.py`` files are exempt from the unused check, since their imports
 are the re-exports.
 
@@ -119,16 +121,25 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_third_party_imports_under_src_are_declared():
-    declared = _declared_dependencies()
-    undeclared = set()
+def _src_import_roots():
+    """(module path, absolute import root) for every import under ``src/``."""
     for path in _modules("src"):
         tree = ast.parse(path.read_text(), filename=str(path))
         for root in _absolute_roots(tree):
-            if root != PACKAGE and root not in sys.stdlib_module_names \
-                    and root not in declared:
-                undeclared.add(f"{path.relative_to(ROOT)}: {root}")
+            yield path.relative_to(ROOT), root
+
+
+def test_third_party_imports_under_src_are_declared():
+    declared = _declared_dependencies()
+    undeclared = {f"{path}: {root}" for path, root in _src_import_roots()
+                  if root != PACKAGE and root not in sys.stdlib_module_names
+                  and root not in declared}
     assert sorted(undeclared) == []
+
+
+def test_every_declared_dependency_is_imported_under_src():
+    imported = {root for _, root in _src_import_roots()}
+    assert sorted(_declared_dependencies() - imported) == []
 
 
 def test_every_src_definition_is_reached_from_src_or_perfbench():

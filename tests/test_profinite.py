@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from shadowlab.errors import ConfigError
 from shadowlab.groups import (
     GroupElement,
     IntegerLattice,
@@ -15,6 +16,7 @@ from shadowlab.groups import (
 )
 from shadowlab.profinite import (
     NecklaceShift,
+    ModulusCertificate,
     ProfinitePoint,
     QuotientChain,
     act_point,
@@ -226,3 +228,75 @@ def test_necklace_defeats_every_modulus():
 def test_necklace_search_needs_room():
     with pytest.raises(ValueError):
         necklace_modulus_search(8, 7)
+
+
+def _ref_necklace_search(width, epsilon_exponent, max_modulus=None):
+    """The search as a rebuild and rescan of the field for every modulus."""
+    system = NecklaceShift(width)
+    if max_modulus is None:
+        max_modulus = width - 3
+    if epsilon_exponent >= width - 1:
+        raise ValueError("epsilon too fine for the width")
+    tested = []
+    for m in range(epsilon_exponent, max_modulus + 1):
+        agree_prefix = m + 2
+        if agree_prefix > width - 1:
+            break
+        zeros = (0,) * width
+        orbit = [zeros] * (width + 2)
+        cur = zeros[1:] + (1,)
+        for _ in range(width):
+            orbit.append(cur)
+            cur = system.step(cur)
+        for i in range(len(orbit) - 1):
+            gap = system.distance_exponent(system.step(orbit[i]), orbit[i + 1])
+            assert gap is None or gap >= agree_prefix
+        tested.append(m)
+        for z in system.all_points():
+            cur = z
+            traced = True
+            for target in orbit:
+                gap = system.distance_exponent(cur, target)
+                if gap is not None and gap <= epsilon_exponent:
+                    traced = False
+                    break
+                cur = system.step(cur)
+            if traced:
+                return ModulusCertificate("necklace-rotation", epsilon_exponent,
+                                          tuple(tested), True, m,
+                                          f"unexpected tracer {z}")
+    return ModulusCertificate("necklace-rotation", epsilon_exponent,
+                              tuple(tested), False, None,
+                              "every admissible step tolerance admits an "
+                              "untraceable field")
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except (ValueError, ConfigError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("width", range(2, 12))
+def test_necklace_search_matches_the_per_modulus_rescan(width):
+    for epsilon_exponent in range(-1, width + 1):
+        for max_modulus in [None, *range(width + 2)]:
+            args = (width, epsilon_exponent, max_modulus)
+            ref = _outcome(_ref_necklace_search, *args)
+            got = _outcome(necklace_modulus_search, *args)
+            if isinstance(ref, ModulusCertificate) and not ref.tested_moduli:
+                assert got is ConfigError, args
+            else:
+                assert got == ref, args
+
+
+@pytest.mark.parametrize("width, epsilon_exponent, max_modulus, shown", [
+    (12, 5, 2, 2), (10, 8, None, 7), (6, 4, 5, 5)])
+def test_necklace_search_refuses_when_no_modulus_fits(
+        width, epsilon_exponent, max_modulus, shown):
+    with pytest.raises(ConfigError) as info:
+        necklace_modulus_search(width, epsilon_exponent, max_modulus)
+    assert str(info.value) == (
+        f"no step modulus to test: epsilon_exponent {epsilon_exponent} "
+        f"exceeds max_modulus {shown} or width {width} - 3")

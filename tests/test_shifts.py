@@ -213,6 +213,54 @@ def test_pattern_capacity_names_the_count_and_budget(free_space):
         sft_from_forbidden(free_space, 3, [])
 
 
+def _ref_line_sft(space, bad_word):
+    """A line builder as a loop over the patterns read along the line."""
+    idxs = shifts._line_index_map(space, 1)
+    bad = [cells for cells in itertools.product(range(space.alphabet.size), repeat=3)
+           if bad_word(tuple(cells[i] for i in idxs))]
+    return sft_from_forbidden(space, 1, bad)
+
+
+def _ref_golden_mean(space):
+    one = space.alphabet.index("1")
+    return _ref_line_sft(space, lambda w: (w[0] == one and w[1] == one)
+                         or (w[1] == one and w[2] == one))
+
+
+def _ref_even_window(space):
+    one, zero = space.alphabet.index("1"), space.alphabet.index("0")
+    return _ref_line_sft(space, lambda w: w == (one, zero, one))
+
+
+def _ref_hard_square(space):
+    geo = space.geometry
+    one = space.alphabet.index("1")
+    center = geo.position(geo.spec.identity(), 1)
+    neighbors = [i for i in range(geo.ball_size(1)) if i != center]
+    bad = [cells for cells in itertools.product(range(space.alphabet.size),
+                                                repeat=geo.ball_size(1))
+           if cells[center] == one and any(cells[i] == one for i in neighbors)]
+    return sft_from_forbidden(space, 1, bad)
+
+
+def _allowed_or_refusal(build, space):
+    try:
+        return build(space).allowed
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("build, ref", [(golden_mean_sft, _ref_golden_mean),
+                                        (even_window_sft, _ref_even_window),
+                                        (hard_square_sft, _ref_hard_square)])
+def test_builders_match_their_pattern_loops(build, ref):
+    for name, space in _oracle_spaces().items():
+        got = _allowed_or_refusal(build, space)
+        assert got == _allowed_or_refusal(ref, space), name
+        if build is not hard_square_sft and name not in ("line", "line-3"):
+            assert got == "line helpers need the one-dimensional integer lattice"
+
+
 def test_forbidden_complement_round_trip(line_space):
     sft = golden_mean_sft(line_space)
     forb = sorted(sft.forbidden)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shadowlab import torus
-from shadowlab.errors import CapacityError
+from shadowlab.errors import CapacityError, ConfigError
 from shadowlab.torus import (
     CAT_MATRIX,
     COLLISION_RESOLUTION,
@@ -348,6 +348,24 @@ def test_generating_set_transfer_pins():
     assert abs(rep.amplitude - 0.4 * (0.05 / 3) / 21) < 1e-12
     for _, dev in rep.deviations:
         assert dev < rep.target_tolerance
+
+
+def test_generating_set_transfer_runs_on_entries_of_ten():
+    rep = generating_set_transfer(((10, 9), (1, 1)), 0.05, Random(3), grid_count=40)
+    assert rep.passed and rep.norm_bound == 2269
+
+
+@pytest.mark.parametrize("k", [20, 53])
+def test_generating_set_transfer_refuses_rounding_that_decides(k):
+    # with entries this large the float images keep few fractional bits, so
+    # deviations measure rounding, not the perturbation
+    rng = Random(3)
+    state = rng.getstate()
+    with pytest.raises(ConfigError, match=r"^float rounding may move a word image "
+                       r"by \S+, more than 0\.001 of target_tolerance 0\.05: "
+                       r"the matrix entries are too large$"):
+        generating_set_transfer(((2 ** k, 2 ** k - 1), (1, 1)), 0.05, rng)
+    assert rng.getstate() == state  # refused before any draw
 
 
 def test_plane_matrices_commute_and_compose():
