@@ -268,6 +268,17 @@ def _side_file(action: str, path: str):
                           f"{exc.strerror or exc}") from None
 
 
+def _eta(text: str, key: str) -> Fraction:
+    """A config's separation constant as a positive fraction."""
+    try:
+        eta = Fraction(text)
+        if eta > 0:
+            return eta
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"{key} must be a positive fraction, got {text!r}")
+
+
 def _space(group_name: str) -> ShiftSpace:
     spec = _GROUPS[group_name]()
     return ShiftSpace(GroupGeometry(spec))
@@ -291,6 +302,8 @@ def _run_sft_trace(params: dict, rng: Random, output: dict):
         if scan is not None and scan > params["radius"]:
             raise ConfigError(f"{key} {scan} exceeds the field radius "
                               f"{params['radius']}")
+    if "uniqueness" in params:
+        eta = _eta(params["uniqueness"]["eta"], "uniqueness.eta")
     orbit = generate_pseudo_orbit(
         sft, params["radius"], plan, rng,
         mode=params.get("mode", "perturbed_orbit"),
@@ -321,7 +334,7 @@ def _run_sft_trace(params: dict, rng: Random, output: dict):
     passed = step_ok and outcome.passed
     if "uniqueness" in params:
         u = params["uniqueness"]
-        report = uniqueness_scan(orbit, plan, Fraction(u["eta"]),
+        report = uniqueness_scan(orbit, plan, eta,
                                  scan_radius=u.get("scan_radius"),
                                  comparison_cap=u.get("comparison_cap"))
         results["uniqueness"] = report
@@ -354,21 +367,26 @@ def _run_sft_synthesize(params: dict, rng: Random, output: dict):
 
 
 def _run_expansiveness_window(params: dict, rng: Random, output: dict):
-    space = _space(params["group"])
-    eta = Fraction(params["eta"])
+    eta = _eta(params["eta"], "eta")
     epsilon = Fraction(1, 2 ** params["epsilon_exponent"])
     method = params["method"]
+    sft_name = params.get("sft", "full-shift")
+    if method in ("flip", "exhaustive") and sft_name != "full-shift":
+        # both read disagreement sets of the full shift and ignore any sft
+        raise ConfigError(f"method {method} is complete only on the full shift, "
+                          f"not sft {sft_name}; use pairs or sampled")
+    space = _space(params["group"])
     if method in ("flip", "exhaustive"):
         scan = separation_window_flip_scan(space, eta, epsilon,
                                            params["test_radius"],
                                            params["max_window"])
     elif method == "pairs":
-        sft = _SFT_BUILDERS[params.get("sft", "full-shift")](space)
+        sft = _SFT_BUILDERS[sft_name](space)
         scan = separation_window_pair_scan(space, sft, eta, epsilon,
                                            params["test_radius"],
                                            params["max_window"])
     else:
-        sft = _SFT_BUILDERS[params.get("sft", "full-shift")](space)
+        sft = _SFT_BUILDERS[sft_name](space)
         scan = separation_window_sampled(space, sft, eta, epsilon,
                                          params["test_radius"],
                                          params["max_window"],

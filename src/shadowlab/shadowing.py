@@ -186,7 +186,7 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
             for _ in range(flip_attempts):
                 pos = sub.randrange(kept, inner_size)
                 old = cells[pos]
-                cells[pos] = sub.randrange(space.alphabet.size)
+                cells[pos] = sub.randrange(2)
                 if any(read(cells) not in sft.allowed for read in windows_at[pos]):
                     cells[pos] = old
             entry = Configuration(space, r_in, tuple(cells))

@@ -1,6 +1,6 @@
 """Subshifts of finite type over finitely generated groups, truncated to balls.
 
-A configuration is a dense assignment of alphabet symbols to a Cayley ball,
+A configuration is a dense assignment of the symbols 0 and 1 to a Cayley ball,
 stored in the ball's deterministic enumeration order (so restriction to a
 smaller radius is a prefix slice).  The right shift acts by
 
@@ -27,7 +27,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
 from operator import itemgetter, methodcaller
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -37,32 +36,6 @@ from .groups import GroupElement, GroupGeometry, GroupSpec, IntegerLattice
 
 NODE_BUDGET = 2_000_000
 PATTERN_BUDGET = 1 << 20
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite symbol set; configurations store indices into ``symbols``."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.symbols) < 2:
-            raise ValueError("an alphabet needs at least two symbols")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet symbols must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.symbols.index(label)
-        except ValueError:
-            raise ValueError(f"unknown symbol {label!r}") from None
-
-
-BINARY = Alphabet(("0", "1"))
 
 
 def gather(table: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -75,11 +48,10 @@ def gather(table: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
 
 
 class ShiftSpace:
-    """A group geometry plus an alphabet; equality is by group spec and alphabet."""
+    """Binary configurations over a group geometry; equality is by group spec."""
 
-    def __init__(self, geometry: GroupGeometry, alphabet: Alphabet = BINARY):
+    def __init__(self, geometry: GroupGeometry):
         self.geometry = geometry
-        self.alphabet = alphabet
         self._window_readers: dict[tuple[int, int], tuple[Callable, ...]] = {}
         self._window_plans: dict[tuple[int, int, bool], tuple] = {}
         self._window_orders: dict[tuple[int, int], tuple] = {}
@@ -88,17 +60,14 @@ class ShiftSpace:
     def spec(self) -> GroupSpec:
         return self.geometry.spec
 
-    def _key(self):
-        return (self.geometry.spec, self.alphabet)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, ShiftSpace) and self._key() == other._key()
+        return isinstance(other, ShiftSpace) and self.spec == other.spec
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.spec)
 
     def __repr__(self) -> str:
-        return f"ShiftSpace({self.geometry.spec.family.name}, {self.alphabet.symbols})"
+        return f"ShiftSpace({self.spec.family.name})"
 
     def window_readers(self, radius: int, window_radius: int) -> tuple[Callable, ...]:
         """One reader per g in ball(radius - window_radius): called on the
@@ -164,10 +133,7 @@ class Configuration:
         return Configuration(self.space, radius, self.cells[:size])
 
     def serialize(self) -> str:
-        labels = [self.space.alphabet.symbols[c] for c in self.cells]
-        if all(len(s) == 1 for s in labels):
-            return f"r={self.radius};" + "".join(labels)
-        return f"r={self.radius};" + ",".join(labels)
+        return f"r={self.radius};" + "".join(map(str, self.cells))
 
 
 @dataclass(frozen=True)
@@ -261,11 +227,11 @@ class SftSpec:
 
         A window holding it is always allowed, so a fill that falls back on
         it never backtracks.  Symbol s is safe when the allowed patterns
-        holding s are all n^k - (n-1)^k patterns of k cells that hold it.
+        holding s are all 2^k - 1 patterns of k cells that hold it.
         """
-        n, k = self.space.alphabet.size, self.window_size
-        for s in range(n):
-            if sum(s in cells for cells in self.allowed) == n ** k - (n - 1) ** k:
+        full = 2 ** self.window_size - 1
+        for s in (0, 1):
+            if sum(s in cells for cells in self.allowed) == full:
                 return s
         return None
 
@@ -275,11 +241,11 @@ def window_patterns(space: ShiftSpace, window_radius: int,
     """Every cell tuple on ball(window_radius), in lexicographic order;
     refuses up front beyond ``PATTERN_BUDGET`` of them, naming in the
     refusal what they are enumerated ``of``."""
-    n, size = space.alphabet.size, space.geometry.ball_size(window_radius)
-    if n ** size > PATTERN_BUDGET:
-        raise CapacityError(f"enumerating {of}{n}^{size} window patterns "
+    size = space.geometry.ball_size(window_radius)
+    if 2 ** size > PATTERN_BUDGET:
+        raise CapacityError(f"enumerating {of}2^{size} window patterns "
                             f"exceeds the {PATTERN_BUDGET:,}-pattern budget")
-    return itertools.product(range(n), repeat=size)
+    return itertools.product((0, 1), repeat=size)
 
 
 def sft_from_forbidden(space: ShiftSpace, window_radius: int,
@@ -296,8 +262,7 @@ def sft_from_forbidden(space: ShiftSpace, window_radius: int,
 
 
 def full_shift(space: ShiftSpace) -> SftSpec:
-    allowed = frozenset((s,) for s in range(space.alphabet.size))
-    return SftSpec(space, 0, allowed)
+    return SftSpec(space, 0, frozenset({(0,), (1,)}))
 
 
 def locally_admissible(x: Configuration, sft: SftSpec) -> bool:
@@ -310,15 +275,8 @@ def locally_admissible(x: Configuration, sft: SftSpec) -> bool:
                for read in x.space.window_readers(x.radius, sft.window_radius))
 
 
-def _candidate_order(n: int, code: int) -> tuple[int, ...]:
-    """The order Random.shuffle leaves range(n) in after the draws that
-    ``code`` packs: its draw for i = n-1 .. 1 is the digit of place value i!."""
-    order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = code // factorial(i) % (i + 1)
-        order[i], order[j] = order[j], order[i]
-    return tuple(order)
-
+# Random.shuffle on (0, 1) swaps on draw 0 and keeps the order on draw 1
+_DRAWN_ORDER = ((1, 0), (0, 1))
 
 # getrandbits(2) is the top two bits of one 32-bit word; a binary draw keeps
 # the first word whose top bit is clear, and its code is the next bit
@@ -343,9 +301,9 @@ def _binary_codes(getrandbits: Callable[[int], int], count: int) -> bytearray:
 class _Fill:
     """Backtracking filler/enumerator for locally admissible assignments.
 
-    A descent allocates nothing: its candidate order (range(n) without an
-    RNG) is a tuple memoised in ``orders`` by its draw code, at most one per
-    node, and per-position lists made once per search keep each position's
+    A descent allocates nothing: its candidate order ((0, 1) without an
+    RNG) is one of two constant tuples, picked by the draw Random.shuffle
+    makes, and per-position lists made once per search keep each position's
     order and its count of untried candidates, tried from the back.  A search
     visits at most ``NODE_BUDGET`` nodes, read when it starts.  Where the
     search cannot backtrack, ``one_pass`` finds its first random solution
@@ -363,7 +321,6 @@ class _Fill:
         self.prefix = prefix or ()
         self.rng = rng
         self.nodes = 0
-        self.orders: dict[int, tuple[int, ...]] = {}
         if len(self.prefix) > self.size:
             raise ValueError("prefix longer than the target ball")
 
@@ -379,15 +336,8 @@ class _Fill:
         if start == self.size:
             yield tuple(cells)
             return
-        n = self.space.alphabet.size
-        # Random.shuffle's draws, inline: for i = n-1 .. 1 it swaps i with
-        # the first getrandbits((i + 1).bit_length()) draw that is at most i;
-        # read as mixed-radix digits, the draws are the order's draw code
         getrandbits = self.rng.getrandbits if self.rng is not None else None
-        schedule = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-        (top, top_bits), rest = schedule[0], tuple(schedule[1:])
-        orders = self.orders
-        natural = tuple(range(n))
+        natural = _DRAWN_ORDER[1]
         order_at: list[tuple[int, ...]] = [natural] * self.size
         untried_at = [0] * self.size
         last = self.size - 1
@@ -401,20 +351,12 @@ class _Fill:
             if getrandbits is None:
                 order = natural
             else:
-                code = getrandbits(top_bits)
-                while code > top:
-                    code = getrandbits(top_bits)
-                if rest:  # alphabets wider than binary
-                    for i, k in rest:
-                        j = getrandbits(k)
-                        while j > i:
-                            j = getrandbits(k)
-                        code = code * (i + 1) + j
-                try:
-                    order = orders[code]
-                except KeyError:
-                    order = orders[code] = _candidate_order(n, code)
-            untried = n
+                # Random.shuffle's one draw on two symbols, inline
+                code = getrandbits(2)
+                while code > 1:
+                    code = getrandbits(2)
+                order = _DRAWN_ORDER[code]
+            untried = 2
             # try candidates from the back, backtracking when a position runs out
             while True:
                 if not untried:
@@ -448,10 +390,9 @@ class _Fill:
 
     def one_pass_fits(self) -> bool:
         """Whether ``one_pass`` finds what ``solutions`` would first: a
-        random fill over two symbols of an SFT with a safe symbol, a prefix
-        of those symbols, and room for two nodes per free position."""
-        return (self.rng is not None and self.space.alphabet.size == 2
-                and self.sft.safe_symbol is not None
+        random fill of an SFT with a safe symbol, a prefix of the symbols 0
+        and 1, and room for two nodes per free position."""
+        return (self.rng is not None and self.sft.safe_symbol is not None
                 and 2 * (self.size - len(self.prefix)) <= NODE_BUDGET
                 and all(map((0, 1).__contains__, self.prefix)))
 
@@ -463,10 +404,9 @@ class _Fill:
         search never backtracks: it draws one code per position in ball
         order, places that code, and switches to the safe symbol exactly
         where a window the position completes rejects the code.  So does
-        this pass, with the same draws and the same node count.  Over two
-        symbols the one pattern without the safe symbol is the constant
-        pattern of the other, so it is the only one a window can be
-        rejected for.
+        this pass, with the same draws and the same node count.  The one
+        pattern without the safe symbol is the constant pattern of the
+        other, so it is the only one a window can be rejected for.
         """
         safe = self.sft.safe_symbol
         unsafe = (1 - safe,) * self.sft.window_size
@@ -598,32 +538,28 @@ def allowed_blocks_exact_line(sft: SftSpec, k: int) -> tuple[tuple[int, ...], ..
 
 def golden_mean_sft(space: ShiftSpace) -> SftSpec:
     """Binary line SFT forbidding adjacent ones (window radius 1)."""
-    one = space.alphabet.index("1")
     left, mid, right = _line_index_map(space, 1)
     return sft_from_forbidden(space, 1, (
         c for c in window_patterns(space, 1)
-        if c[mid] == one and one in (c[left], c[right])))
+        if c[mid] == 1 and 1 in (c[left], c[right])))
 
 
 def even_window_sft(space: ShiftSpace) -> SftSpec:
     """Binary line SFT forbidding the word 1 0 1 (window radius 1)."""
-    one, zero = map(space.alphabet.index, "10")
     left, mid, right = _line_index_map(space, 1)
     return sft_from_forbidden(space, 1, (
         c for c in window_patterns(space, 1)
-        if (c[left], c[mid], c[right]) == (one, zero, one)))
+        if (c[left], c[mid], c[right]) == (1, 0, 1)))
 
 
 def hard_square_sft(space: ShiftSpace) -> SftSpec:
     """Planar SFT: a one may not sit next to a one along either axis."""
-    one = space.alphabet.index("1")
     # the identity sits at index 0 of ball(1), its neighbours after it
     return sft_from_forbidden(space, 1, (
-        c for c in window_patterns(space, 1) if c[0] == one and one in c[1:]))
+        c for c in window_patterns(space, 1) if c[0] == 1 and 1 in c[1:]))
 
 
 def one_forbidden_window_sft(space: ShiftSpace) -> SftSpec:
     """Forbid the all-ones window on ball(1); handy over free groups."""
-    one = space.alphabet.index("1")
     size = space.geometry.ball_size(1)
-    return sft_from_forbidden(space, 1, [(one,) * size])
+    return sft_from_forbidden(space, 1, [(1,) * size])

@@ -133,15 +133,14 @@ def _membership_samples(space, sft, count, rng):
     for i in range(count):
         kind = i % 3
         if kind == 0:
-            cells = tuple(rng.randrange(space.alphabet.size)
-                          for _ in range(size))
+            cells = tuple(rng.randrange(2) for _ in range(size))
             out.append(Configuration(space, 8, cells))
         else:
             x = random_admissible(space, sft, 8, rng)
             if kind == 2:
                 pos = rng.randrange(size)
                 cells = list(x.cells)
-                cells[pos] = (cells[pos] + 1) % space.alphabet.size
+                cells[pos] = (cells[pos] + 1) % 2
                 x = Configuration(space, 8, tuple(cells))
             out.append(x)
     return out

@@ -174,6 +174,42 @@ def test_window_run_flip_and_exhaustive_agree():
     assert check["ok"] and check["subsets_checked"] == 2 ** 11 - 1
 
 
+def _window_config(**overrides):
+    params = {"group": "integer-line", "eta": "1/2", "epsilon_exponent": 3,
+              "test_radius": 4, "max_window": 4, "method": "flip"}
+    params.update(overrides)
+    return {"experiment": "expansiveness-window", "seed": 0, "parameters": params}
+
+
+_BAD_ETAS = ["1/0", "-1/2", "0", "half"]
+
+
+def _eta_configs(eta):
+    """A window config and a uniqueness-gated trace config with this eta,
+    each with the key the refusal must name."""
+    return [("eta", _window_config(eta=eta)),
+            ("uniqueness.eta", _trace_config(uniqueness={"eta": eta}))]
+
+
+@pytest.mark.parametrize("eta", _BAD_ETAS)
+def test_eta_must_be_a_positive_fraction(eta):
+    for key, cfg in _eta_configs(eta):
+        with pytest.raises(ConfigError, match=rf"^{key} must be a positive "
+                                              rf"fraction, got '{eta}'$"):
+            run_config(cfg)
+    report, _ = run_config(_window_config(eta="1"))
+    assert report["results"]["eta"] == "1"
+
+
+@pytest.mark.parametrize("method", ["flip", "exhaustive"])
+def test_flip_and_exhaustive_refuse_an_sft_other_than_the_full_shift(method):
+    with pytest.raises(ConfigError, match=rf"^method {method} is complete only "
+                                          r"on the full shift, not sft golden-mean"):
+        run_config(_window_config(method=method, sft="golden-mean"))
+    full, _ = run_config(_window_config(method=method, sft="full-shift"))
+    assert full["results"] == run_config(_window_config(method=method))[0]["results"]
+
+
 def test_window_run_fails_when_capped_too_low():
     cfg = {"experiment": "expansiveness-window", "seed": 0,
            "parameters": {"group": "integer-line", "eta": "1/2",
@@ -466,6 +502,24 @@ def test_cli_scan_beyond_the_field_is_exit_two(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "config error: scan_radius 6 exceeds the field radius 4\n"
+
+
+@pytest.mark.parametrize("eta", _BAD_ETAS)
+def test_cli_bad_eta_is_exit_two(tmp_path, capsys, eta):
+    for key, cfg in _eta_configs(eta):
+        assert main(["run", _write(tmp_path, "cfg.json", cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {key} must be a positive fraction, got '{eta}'\n"
+
+
+def test_cli_flip_scan_of_an_sft_is_exit_two(tmp_path, capsys):
+    cfg = _window_config(method="exhaustive", sft="golden-mean")
+    assert main(["run", _write(tmp_path, "cfg.json", cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("config error: method exhaustive is complete only on the full "
+                   "shift, not sft golden-mean; use pairs or sampled\n")
 
 
 def test_cli_uniqueness_scan_beyond_the_field_is_exit_two(tmp_path, capsys):

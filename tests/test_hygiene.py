@@ -13,6 +13,10 @@ The reach check reads ``src/`` and ``perfbench/``: every top-level function
 or class and every non-dunder method under ``src/`` must be named, as a name
 or an attribute, somewhere outside its own definition.  Imports and tests do
 not count, so a definition that only its tests or an export keep alive
+fails.  The knob check reads the same sources: every defaulted parameter
+of a top-level function or a method under ``src/`` must be passed, by
+position or by keyword, in some call under ``src/`` or ``perfbench/`` to
+a function, method or class of that name, so a knob that only tests set
 fails.
 
 The export check reads ``src/shadowlab/__init__.py``: every name it
@@ -94,6 +98,48 @@ def _unreached(sources, checked):
             if named[node.name] == _names(node)[node.name]]
 
 
+def _defaulted(tree):
+    """(qualified name, call name, parameter, argument index) of every
+    defaulted parameter of a top-level function or a method; the index
+    skips ``self`` and is None for a keyword-only parameter, and
+    ``__init__`` is called by its class's name."""
+    functions = [(node.name, node.name, node, 0) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{item.name}",
+                   cls.name if item.name == "__init__" else item.name, item, 1)
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for item in cls.body if isinstance(item, ast.FunctionDef)]
+    for qualified, called, node, skip in functions:
+        args = node.args.posonlyargs + node.args.args
+        for i in range(len(args) - len(node.args.defaults), len(args)):
+            yield qualified, called, args[i].arg, i - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield qualified, called, arg.arg, None
+
+
+def _unpassed_defaults(sources, checked):
+    """``label: name(parameter)`` of each defaulted parameter in the
+    ``checked`` sources that no call in ``sources`` passes; a ``*`` or
+    ``**`` argument counts as passing every parameter it could fill."""
+    trees = {label: ast.parse(code) for label, code in sources.items()}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args),
+                     {k.arg for k in node.keywords}))
+    return [f"{label}: {qualified}({param})" for label in checked
+            for qualified, called, param, index in _defaulted(trees[label])
+            if not any(param in keywords or None in keywords
+                       or (index is not None and index < positional)
+                       for positional, keywords in calls.get(called, ()))]
+
+
 def _unused_exports(init_source, text):
     """Names the package ``__init__`` imports that ``text`` never uses from
     the top level."""
@@ -149,6 +195,13 @@ def test_every_src_definition_is_reached_from_src_or_perfbench():
     assert _unreached(sources, checked) == []
 
 
+def test_every_defaulted_parameter_is_passed_from_src_or_perfbench():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in _modules("src", "perfbench")}
+    checked = [label for label in sources if label.startswith("src")]
+    assert _unpassed_defaults(sources, checked) == []
+
+
 def test_every_top_level_export_is_used_from_the_top_level():
     own = Path(__file__).resolve()
     texts = [path.read_text() for path in _modules("tests", "perfbench")
@@ -176,6 +229,17 @@ def test_the_checks_see_what_they_should():
              "b.py": "from a import only_itself, Box\n\nx = Box().v\n"}
     assert _unreached(probe, ["a.py"]) == ["a.py: only_itself", "a.py: Box.dead"]
     assert _unreached(probe, ["b.py"]) == []
+    probe = {"a.py": "def f(x, y=1, *, z=2, w=3):\n    return x\n\n"
+                     "class Box:\n    def __init__(self, v, knob=0):\n"
+                     "        self.v = v\n\n"
+                     "    def read(self, at=None, scale=1):\n        return at\n",
+             "b.py": "from a import f, Box\n\nf(1, 2, w=4)\n"
+                     "Box(1).read(None)\nf(*[1], **{})\n"}
+    assert _unpassed_defaults(probe, ["a.py"]) \
+        == ["a.py: Box.__init__(knob)", "a.py: Box.read(scale)"]
+    probe["b.py"] = probe["b.py"].replace("f(*[1], **{})", "f(*[1])")
+    assert _unpassed_defaults(probe, ["a.py"]) == [
+        "a.py: f(z)", "a.py: Box.__init__(knob)", "a.py: Box.read(scale)"]
     init = ("from .a import (one, two,\n    three)\nfrom .b import four, five\n"
             "__version__ = '1'\n")
     text = ("import shadowlab\nshadowlab.one()\n"

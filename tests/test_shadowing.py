@@ -551,7 +551,7 @@ def _ref_flip_entries(sft, radius, plan, seed, inner, attempts):
         for _ in range(attempts):
             pos = sub.randrange(kept, size)
             old = cells[pos]
-            cells[pos] = sub.randrange(space.alphabet.size)
+            cells[pos] = sub.randrange(2)
             if not locally_admissible(Configuration(space, inner, tuple(cells)), sft):
                 cells[pos] = old
         out.append(Configuration(space, inner, tuple(cells)))

@@ -17,8 +17,6 @@ from shadowlab.groups import (
     integer_plane_spec,
 )
 from shadowlab.shifts import (
-    BINARY,
-    Alphabet,
     Configuration,
     DyadicDistance,
     allowed_blocks,
@@ -99,9 +97,13 @@ def test_distance_is_an_ultrametric(line_space, data):
 def test_serialize_round_trip(line_space):
     x = config(line_space, 3, "0110100")
     assert x.serialize() == "r=3;0110100"
-    wide = ShiftSpace(line_space.geometry, Alphabet(("aa", "b", "c")))
-    y = Configuration(wide, 1, (2, 0, 1))
-    assert y.serialize() == "r=1;c,aa,b"
+
+
+def test_spaces_on_separate_geometries_of_one_spec_are_equal(line_space):
+    twin = ShiftSpace(GroupGeometry(integer_line_spec()))
+    assert twin.geometry is not line_space.geometry
+    assert twin == line_space and hash(twin) == hash(line_space)
+    assert twin != ShiftSpace(GroupGeometry(integer_plane_spec()))
 
 
 def test_shift_radius_accounting_and_action_law(line_space):
@@ -216,30 +218,26 @@ def test_pattern_capacity_names_the_count_and_budget(free_space):
 def _ref_line_sft(space, bad_word):
     """A line builder as a loop over the patterns read along the line."""
     idxs = shifts._line_index_map(space, 1)
-    bad = [cells for cells in itertools.product(range(space.alphabet.size), repeat=3)
+    bad = [cells for cells in itertools.product((0, 1), repeat=3)
            if bad_word(tuple(cells[i] for i in idxs))]
     return sft_from_forbidden(space, 1, bad)
 
 
 def _ref_golden_mean(space):
-    one = space.alphabet.index("1")
-    return _ref_line_sft(space, lambda w: (w[0] == one and w[1] == one)
-                         or (w[1] == one and w[2] == one))
+    return _ref_line_sft(space, lambda w: (w[0] == 1 and w[1] == 1)
+                         or (w[1] == 1 and w[2] == 1))
 
 
 def _ref_even_window(space):
-    one, zero = space.alphabet.index("1"), space.alphabet.index("0")
-    return _ref_line_sft(space, lambda w: w == (one, zero, one))
+    return _ref_line_sft(space, lambda w: w == (1, 0, 1))
 
 
 def _ref_hard_square(space):
     geo = space.geometry
-    one = space.alphabet.index("1")
     center = geo.position(geo.spec.identity(), 1)
     neighbors = [i for i in range(geo.ball_size(1)) if i != center]
-    bad = [cells for cells in itertools.product(range(space.alphabet.size),
-                                                repeat=geo.ball_size(1))
-           if cells[center] == one and any(cells[i] == one for i in neighbors)]
+    bad = [cells for cells in itertools.product((0, 1), repeat=geo.ball_size(1))
+           if cells[center] == 1 and any(cells[i] == 1 for i in neighbors)]
     return sft_from_forbidden(space, 1, bad)
 
 
@@ -257,7 +255,7 @@ def test_builders_match_their_pattern_loops(build, ref):
     for name, space in _oracle_spaces().items():
         got = _allowed_or_refusal(build, space)
         assert got == _allowed_or_refusal(ref, space), name
-        if build is not hard_square_sft and name not in ("line", "line-3"):
+        if build is not hard_square_sft and name != "line":
             assert got == "line helpers need the one-dimensional integer lattice"
 
 
@@ -273,14 +271,6 @@ def test_full_shift_enumeration_is_every_assignment(line_space):
     sft = full_shift(line_space)
     seen = set(enumerate_admissible(line_space, sft, 2))
     assert len(seen) == 32
-
-
-def test_alphabet_requires_two_distinct_symbols():
-    with pytest.raises(ValueError):
-        Alphabet(("a",))
-    with pytest.raises(ValueError):
-        Alphabet(("a", "a"))
-    assert BINARY.size == 2
 
 
 def test_dyadic_values():
@@ -303,7 +293,6 @@ class _RefFill:
         self.sft = sft
         self.rng = rng
         self.node_budget = node_budget
-        self.symbols = space.alphabet.size
         self.size = geo.ball_size(radius)
         self.prefix = prefix or ()
         self.nodes = 0
@@ -318,7 +307,7 @@ class _RefFill:
                    for table in self.plan[pos])
 
     def _candidates(self):
-        syms = list(range(self.symbols))
+        syms = [0, 1]
         if self.rng is not None:
             self.rng.shuffle(syms)
         return syms
@@ -377,19 +366,17 @@ def _random_sft(space, window_radius, seed, share):
     so the fill backtracks, and some admit nothing at all."""
     rng = Random(seed)
     size = space.geometry.ball_size(window_radius)
-    patterns = itertools.product(range(space.alphabet.size), repeat=size)
+    patterns = itertools.product((0, 1), repeat=size)
     return sft_from_forbidden(space, window_radius,
                               [c for c in patterns if rng.random() < share])
 
 
 def _oracle_spaces():
-    line = GroupGeometry(integer_line_spec())
     return {
-        "line": ShiftSpace(line),
+        "line": ShiftSpace(GroupGeometry(integer_line_spec())),
         "plane": ShiftSpace(GroupGeometry(integer_plane_spec())),
         "free": ShiftSpace(GroupGeometry(free_rank2_spec())),
         "heisenberg": ShiftSpace(GroupGeometry(heisenberg_spec())),
-        "line-3": ShiftSpace(line, Alphabet(("0", "1", "2"))),
     }
 
 
@@ -404,7 +391,6 @@ _FILL_CASES = {
     "free": (lambda sp: [one_forbidden_window_sft(sp), _random_sft(sp, 1, 3, 0.4)], 3, 2),
     "heisenberg": (lambda sp: [full_shift(sp), one_forbidden_window_sft(sp),
                                _random_sft(sp, 1, 2, 0.5)], 2, 1),
-    "line-3": (lambda sp: [full_shift(sp), _random_sft(sp, 1, 2, 0.6)], 5, 3),
 }
 
 
@@ -458,8 +444,7 @@ def test_fill_matches_the_shuffle_reference_draw_for_draw(name, monkeypatch):
             # or random cells, which most SFTs reject outright
             cut = space.geometry.ball_size(radius - 1)
             prefix = (ref_out[0][:cut] if ref_out and ref_out[0] != "capacity"
-                      else tuple(Random(seed).randrange(space.alphabet.size)
-                                 for _ in range(cut)))
+                      else tuple(Random(seed).randrange(2) for _ in range(cut)))
             for p in (prefix, prefix[:-1]):
                 rng, ref_rng = Random(seed + 100), Random(seed + 100)
                 ref = _RefFill(space, sft, radius, prefix=p, rng=ref_rng,
@@ -503,15 +488,13 @@ def test_fill_and_reference_refuse_at_the_same_node_budget(name, monkeypatch):
                         random_admissible(space, sft, radius, Random(seed))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_inline_candidate_draw_is_random_shuffle(n, monkeypatch):
-    space = ShiftSpace(GroupGeometry(integer_line_spec()),
-                       Alphabet(tuple(str(s) for s in range(n))))
+def test_inline_candidate_draw_is_random_shuffle(line_space, monkeypatch):
+    space = line_space
     sft = full_shift(space)
     for seed in range(300):
         # on one cell every candidate is a solution, popped from the back
         rng, ref_rng = Random(seed), Random(seed)
-        order = list(range(n))
+        order = [0, 1]
         ref_rng.shuffle(order)
         got = [c[0] for c in _Fill(space, sft, 0, rng=rng).solutions()]
         assert got == order[::-1]
@@ -557,21 +540,8 @@ def test_shift_and_distance_match_the_cell_loops(name):
                 assert distance(y, x) == _ref_distance(y, x)
 
 
-def test_wide_alphabet_fill_memoises_at_most_one_order_per_node(monkeypatch):
-    # 12! candidate orders: the fill memoises only the ones it draws
-    space = ShiftSpace(GroupGeometry(integer_line_spec()),
-                       Alphabet(tuple(f"s{k}" for k in range(12))))
-    sft = _random_sft(space, 1, 5, 0.9)  # dense enough to backtrack a lot
-    for seed in range(6):
-        ours, ref = _fill_pair(monkeypatch, space, sft, 5, seed, 5000)
-        assert _outcome(ours, 25) == _outcome(ref, 25)
-        assert ours.rng.getstate() == ref.rng.getstate()
-        assert 0 < len(ours.orders) <= ours.nodes
-        assert all(sorted(order) == list(range(12)) for order in ours.orders.values())
-
-
 # --- one-pass fills ------------------------------------------------------------
-# Over two symbols with a safe symbol the search never backtracks, and
+# With a safe symbol the search never backtracks, and
 # random_admissible fills in one pass; it must still match the reference
 # fill cell for cell, draw for draw and node for node.
 
@@ -718,14 +688,9 @@ def test_safe_symbols(line_space, plane_space, free_space):
     assert hard_square_sft(plane_space).safe_symbol is None
     assert golden_mean_sft(line_space).safe_symbol is None
     assert even_window_sft(line_space).safe_symbol is None
-    # over two symbols, the one forbidden pattern that avoids 1
+    # the one forbidden pattern that avoids 1
     assert sft_from_forbidden(line_space, 1, [(0, 0, 0)]).safe_symbol == 1
     assert _zeros_forbidden_sft(free_space).safe_symbol == 1
-    # three symbols: only 2 avoids every forbidden pattern
-    line3 = ShiftSpace(line_space.geometry, Alphabet(("0", "1", "2")))
-    sft = sft_from_forbidden(line3, 1, [(0, 0, 0), (0, 1, 0), (1, 1, 1)])
-    assert sft.safe_symbol == 2
-    assert not _Fill(line3, sft, 3, rng=Random(0)).one_pass_fits()
     assert sft_from_forbidden(line_space, 0, [(0,), (1,)]).safe_symbol is None
 
 
