@@ -23,13 +23,14 @@ graph).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, GenerationError
 from .groups import GroupElement, GroupGeometry, GroupSpec, IntegerLattice
@@ -54,7 +55,7 @@ class ShiftSpace:
         self.geometry = geometry
         self._window_readers: dict[tuple[int, int], tuple[Callable, ...]] = {}
         self._window_plans: dict[tuple[int, int, bool], tuple] = {}
-        self._window_orders: dict[tuple[int, int], tuple] = {}
+        self._window_orders: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def spec(self) -> GroupSpec:
@@ -98,16 +99,23 @@ class ShiftSpace:
             self._window_plans[key] = plan
         return plan
 
-    def window_order(self, radius: int, window_radius: int):
-        """``window_plan`` flattened: its readers in the order of the ball
-        positions that complete them, and those positions, nondecreasing."""
+    def window_order(self, radius: int,
+                     window_radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """The window tables of ``translation_tables(window_radius, radius)``
+        as the rows of one integer array, sorted stably by the ball position
+        that completes them (their maximum), and those positions,
+        nondecreasing; both arrays are shared, so they are read-only."""
         key = (radius, window_radius)
         order = self._window_orders.get(key)
         if order is None:
-            plan = self.window_plan(radius, window_radius)
-            order = self._window_orders[key] = (
-                tuple(itertools.chain.from_iterable(plan)),
-                tuple(pos for pos, ws in enumerate(plan) for _ in ws))
+            geo = self.geometry
+            tables = np.array(geo.translation_tables(window_radius, radius),
+                              dtype=np.intp).reshape(-1, geo.ball_size(window_radius))
+            ends = tables.max(axis=1)
+            rows = np.argsort(ends, kind="stable")
+            order = self._window_orders[key] = (tables[rows], ends[rows])
+            for array in order:
+                array.flags.writeable = False
         return order
 
 
@@ -174,14 +182,21 @@ def distance(x: Configuration, y: Configuration) -> DyadicDistance:
 def layer_distance(ends: Sequence[int], x: Sequence[int],
                    y: Sequence[int]) -> DyadicDistance:
     """``distance`` on cell sequences compared on the ball whose layer k
-    ends at index ``ends[k]``."""
-    lo = 0
-    # ball(k) is a prefix of every larger ball, so layer k is a slice
-    for k, hi in enumerate(ends):
-        if x[lo:hi] != y[lo:hi]:
-            return DyadicDistance(max(k - 1, 0), False)
-        lo = hi
-    return DyadicDistance(len(ends), True)
+    ends at index ``ends[k]``.  Ball(k) is a prefix of every larger ball, so
+    x and y agree on ball(k) exactly when their first ``ends[k]`` cells
+    agree, and that holds for every k below the first layer with a
+    difference and for none from it on: one comparison of the whole ball,
+    then a bisection over ``ends`` when it finds a difference."""
+    if x[:ends[-1]] == y[:ends[-1]]:
+        return DyadicDistance(len(ends), True)
+    lo, hi = 0, len(ends) - 1  # the first differing layer lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if x[:ends[mid]] == y[:ends[mid]]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return DyadicDistance(max(lo - 1, 0), False)
 
 
 def shift(g: GroupElement, x: Configuration) -> Configuration:
@@ -307,7 +322,8 @@ class _Fill:
     order and its count of untried candidates, tried from the back.  A search
     visits at most ``NODE_BUDGET`` nodes, read when it starts.  Where the
     search cannot backtrack, ``one_pass`` finds its first random solution
-    without one.
+    without one: it gathers every window over the drawn codes from one
+    index array, and re-reads only the windows that hold no safe symbol.
     """
 
     def __init__(self, space: ShiftSpace, sft: SftSpec, radius: int,
@@ -317,7 +333,6 @@ class _Fill:
         self.sft = sft
         self.radius = radius
         self.size = space.geometry.ball_size(radius)
-        self.plan = space.window_plan(radius, sft.window_radius)
         self.prefix = prefix or ()
         self.rng = rng
         self.nodes = 0
@@ -325,7 +340,7 @@ class _Fill:
             raise ValueError("prefix longer than the target ball")
 
     def solutions(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-        plan = self.plan
+        plan = self.space.window_plan(self.radius, self.sft.window_radius)
         allowed = self.sft.allowed
         cells: list[int] = list(self.prefix) + [-1] * (self.size - len(self.prefix))
         start = len(self.prefix)
@@ -407,25 +422,37 @@ class _Fill:
         this pass, with the same draws and the same node count.  The one
         pattern without the safe symbol is the constant pattern of the
         other, so it is the only one a window can be rejected for.
+
+        The windows are read from ``window_order`` in the order the search
+        completes them.  A switch only ever turns a cell safe, so a window
+        that holds the safe symbol among the drawn codes never rejects: one
+        gather of every window over the codes finds the candidates, and
+        only those are read again, in order, after the switches before them.
+        The prefix's own windows are checked by the same gather, before any
+        draw.
         """
         safe = self.sft.safe_symbol
         unsafe = (1 - safe,) * self.sft.window_size
-        readers, ends = self.space.window_order(self.radius, self.sft.window_radius)
+        tables, ends = self.space.window_order(self.radius, self.sft.window_radius)
         if unsafe in self.sft.allowed:  # the full shift: no window rejects
-            readers, ends = (), ()
+            tables, ends = tables[:0], ends[:0]
+
+        def hold_no_safe(cells: bytes, windows: np.ndarray) -> np.ndarray:
+            return (np.frombuffer(cells, np.uint8)[windows] != safe).all(axis=1)
+
         start = len(self.prefix)
-        cut = bisect_left(ends, start)
-        cells = list(self.prefix)
-        read = methodcaller("__call__", cells)
-        if unsafe in map(read, readers[:cut]):
+        cut = int(np.searchsorted(ends, start))
+        head = bytes(self.prefix)
+        if hold_no_safe(head, tables[:cut]).any():
             return None
-        cells += _binary_codes(self.rng.getrandbits, self.size - start)
+        codes = head + _binary_codes(self.rng.getrandbits, self.size - start)
+        rows = cut + np.flatnonzero(hold_no_safe(codes, tables[cut:]))
+        cells = list(codes)
         switches = 0
-        # lazy, so each window is read after the switches at the cells it holds
-        rejected = map(unsafe.__eq__, map(read, readers[cut:]))
-        for pos in itertools.compress(ends[cut:], rejected):
-            cells[pos] = safe
-            switches += 1
+        for table, pos in zip(tables[rows].tolist(), ends[rows].tolist()):
+            if safe not in map(cells.__getitem__, table):
+                cells[pos] = safe
+                switches += 1
         self.nodes += self.size - start + switches
         return tuple(cells)
 

@@ -233,8 +233,8 @@ def test_translations_from_generator_tables_match_products(name):
             for src in range(dst - length + 1):
                 expected = tuple(geo.position(h * g, dst) for h in geo.ball(src))
                 assert geo.right_translation(src, g, dst) == expected
-    # the window readers and plans of a cold space read the same tables:
-    # a reader called on the positions themselves returns its table
+    # the window readers, plans and orders of a cold space read the same
+    # tables: a reader called on the positions themselves returns its table
     space = ShiftSpace(GroupGeometry(spec))
     for dst in range(top + 1):
         cells = range(geo.ball_size(dst))
@@ -247,6 +247,16 @@ def test_translations_from_generator_tables_match_products(name):
                 assert [[read(cells) for read in readers] for readers in plan] \
                     == [[t for t in oracle if (pos in t if every_cell else max(t) == pos)]
                         for pos in cells]
+            # the rows, sorted stably by the position completing them
+            tables, ends = space.window_order(dst, src)
+            by_end = sorted(oracle, key=max)
+            assert list(map(tuple, tables.tolist())) == by_end
+            assert ends.tolist() == sorted(ends.tolist()) == list(map(max, by_end))
+        # no window fits when the window radius exceeds the radius
+        for src in (dst + 1, dst + 2):
+            tables, ends = space.window_order(dst, src)
+            assert tables.shape == (0, geo.ball_size(src))
+            assert ends.shape == (0,)
     assert space.window_readers(0, 1) == ()
     assert space.window_plan(0, 1) == ((),)
     # a product leaving the destination ball is refused
@@ -259,6 +269,17 @@ def test_translations_from_generator_tables_match_products(name):
         geo.right_translation(0, far, top - 1)
     with pytest.raises(ValueError):
         geo.right_translation(-1, spec.identity(), top)
+
+
+def test_window_orders_are_shared_and_read_only():
+    space = ShiftSpace(GroupGeometry(free_rank2_spec()))
+    tables, ends = space.window_order(3, 1)
+    assert space.window_order(3, 1)[0] is tables
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        ends[:] = 0
+    assert tables[0].tolist() == list(range(5)) and ends[0] == 4
 
 
 @pytest.mark.parametrize("name", sorted(_table_specs()))

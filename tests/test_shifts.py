@@ -28,6 +28,7 @@ from shadowlab.shifts import (
     gather,
     golden_mean_sft,
     hard_square_sft,
+    layer_distance,
     locally_admissible,
     one_forbidden_window_sft,
     random_admissible,
@@ -361,6 +362,16 @@ def _ref_distance(x, y):
     return DyadicDistance(min(x.radius, y.radius) + 1, True)
 
 
+def _ref_layer_distance(ends, x, y):
+    """layer_distance walked layer by layer, cell by cell."""
+    lo = 0
+    for k, hi in enumerate(ends):
+        if any(x[i] != y[i] for i in range(lo, hi)):
+            return DyadicDistance(max(k - 1, 0), False)
+        lo = hi
+    return DyadicDistance(len(ends), True)
+
+
 def _random_sft(space, window_radius, seed, share):
     """Forbid a random share of the window patterns: such SFTs have dead ends,
     so the fill backtracks, and some admit nothing at all."""
@@ -540,6 +551,34 @@ def test_shift_and_distance_match_the_cell_loops(name):
                 assert distance(y, x) == _ref_distance(y, x)
 
 
+def test_layer_distance_matches_the_layer_walk():
+    free = GroupGeometry(free_rank2_spec())
+    layouts = [tuple(free.ball_size(k) for k in range(5)),  # 1, 5, 17, 53, 161
+               (1, 3, 4, 9), (1,), (4,)]
+    rng = Random(5)
+    for ends in layouts:
+        size = ends[-1]
+        x = tuple(rng.randrange(2) for _ in range(size))
+        ys = [x]  # identical: the marker
+        for pos in range(size):  # index 0, the last layer alone, and between
+            ys.append(x[:pos] + (1 - x[pos],) + x[pos + 1:])
+        for _ in range(20):  # several differences
+            ys.append(tuple(c ^ (rng.random() < 0.1) for c in x))
+        for y in ys:
+            for tail in ((), (0, 1, 1)):  # x longer than y: only ends count
+                got = layer_distance(ends, x + tail, y)
+                assert got == _ref_layer_distance(ends, x + tail, y)
+                assert got == layer_distance(ends, y, x + tail)
+    ends = layouts[0]
+    same = (0,) * ends[-1]
+    assert layer_distance(ends, same, same) == DyadicDistance(5, True)
+    assert layer_distance(ends, (1,) + same[1:], same) == DyadicDistance(0, False)
+    assert layer_distance(ends, same[:-1] + (1,), same) == DyadicDistance(3, False)
+    assert layer_distance(ends, same + (1,), same) == DyadicDistance(5, True)
+    assert layer_distance((1,), (0, 1), (0, 0)) == DyadicDistance(1, True)
+    assert layer_distance((1,), (1, 1), (0, 1)) == DyadicDistance(0, False)
+
+
 # --- one-pass fills ------------------------------------------------------------
 # With a safe symbol the search never backtracks, and
 # random_admissible fills in one pass; it must still match the reference
@@ -593,6 +632,31 @@ def test_one_pass_matches_the_shuffle_reference_at_scale(name, build, radius):
             assert rng.getstate() == ref.rng.getstate()
             refused += expected is None
     assert (refused > 0) == (build is not full_shift)
+
+
+def test_one_pass_matches_the_reference_on_the_tree_batch_ball(free_space):
+    # the free-group fields of the tree batch fill ball(9) in one pass
+    sft = one_forbidden_window_sft(free_space)
+    geo = free_space.geometry
+    size = geo.ball_size(9)
+    tables = geo.translation_tables(1, 9)
+    rescued = 0
+    for seed in range(2):
+        ours = _Fill(free_space, sft, 9, rng=Random(seed))
+        ref = _RefFill(free_space, sft, 9, rng=Random(seed))
+        assert ours.one_pass_fits()
+        assert ours.one_pass() == next(ref.solutions(1))
+        assert ours.nodes == ref.nodes
+        assert ours.rng.getstate() == ref.rng.getstate()
+        # windows rejecting the drawn codes, against the switches made: a
+        # candidate that an earlier switch made safe needs none
+        codes = _binary_codes(Random(seed).getrandbits, size)
+        candidates = sum(sft.safe_symbol not in map(codes.__getitem__, t)
+                         for t in tables)
+        switches = ref.nodes - size
+        assert 0 < switches <= candidates
+        rescued += candidates - switches
+    assert rescued > 0
 
 
 def _recorded_fills(monkeypatch, reference):
