@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import CapacityError
 
 ELEMENT_BUDGET = 1_000_000
@@ -29,6 +31,16 @@ SPAN_CHECK_RADIUS = 8
 
 _FREE_LETTERS = "xyzw"
 _double = (2).__mul__
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array``'s cells that no holder can write through: the
+    array owning them is frozen (a view is copied first, so that it owns
+    them), and a view of a frozen owner cannot be made writeable again."""
+    if array.base is not None:
+        array = array.copy()
+    array.flags.writeable = False
+    return array.view()
 
 
 def _free_letter_name(k: int) -> str:
@@ -292,7 +304,8 @@ class GroupGeometry:
     parent's table mapped through ``_mul`` of its last letter, one ``map``
     per table.  One cache per (src, dst) holds the tables of every g in
     ball(dst - src), in ball order, since the shift action reuses them
-    heavily; the step tables are cached too.
+    heavily; the step tables are cached too, and so are the read-only
+    array forms of both that the array kernels gather through.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -306,6 +319,8 @@ class GroupGeometry:
         self._ball_sizes: list[int] = [1]  # ball_sizes[k] == |ball(k)|
         self._translations: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._step_tables: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
+        self._translation_arrays: dict[tuple[int, int], np.ndarray] = {}
+        self._step_faces: dict[int, np.ndarray] = {}
 
     @property
     def family(self):
@@ -417,6 +432,20 @@ class GroupGeometry:
             tables = self._translations[key] = tuple(tables)
         return tables
 
+    def translation_array(self, src_radius: int, dst_radius: int) -> np.ndarray:
+        """``translation_tables(src_radius, dst_radius)`` as the rows of one
+        read-only integer array, one row per g in ball(dst_radius -
+        src_radius) and one column per h in ball(src_radius)."""
+        key = (src_radius, dst_radius)
+        array = self._translation_arrays.get(key)
+        if array is None:
+            tables = self.translation_tables(src_radius, dst_radius)
+            # no table at all is an empty array of the row width, not 1-d
+            array = np.array(tables or np.empty((0, self.ball_size(src_radius))),
+                             dtype=np.intp)
+            array = self._translation_arrays[key] = read_only(array)
+        return array
+
     def right_translation(self, src_radius: int, g: GroupElement,
                           dst_radius: int) -> tuple[int, ...]:
         """For each h in ball(src_radius), the ball(dst_radius) index of h*g.
@@ -443,6 +472,19 @@ class GroupGeometry:
             table = self._step_tables[radius] = tuple(
                 tuple((a, t[p]) for a, p in rows if t[p] < n) for t in tables)
         return table
+
+    def step_faces(self, radius: int) -> np.ndarray:
+        """The pairs of ``step_table(radius)`` as the columns of one
+        read-only integer array with the rows (src, a, dst): one column per
+        element index src and generator index a with dst the index of
+        a*g_src, in step-table order."""
+        faces = self._step_faces.get(radius)
+        if faces is None:
+            flat = [(i, a, j) for i, steps in enumerate(self.step_table(radius))
+                    for a, j in steps]
+            faces = np.array(flat, dtype=np.intp).reshape(-1, 3).T
+            faces = self._step_faces[radius] = read_only(faces)
+        return faces
 
 
 def integer_line_spec() -> GroupSpec:

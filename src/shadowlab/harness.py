@@ -318,7 +318,7 @@ def _run_sft_trace(params: dict, rng: Random, output: dict):
         "delta": plan.delta,
         "epsilon": plan.epsilon,
         "inner_radius": orbit.inner_radius,
-        "entry_count": len(orbit.entries),
+        "entry_count": len(orbit.cells),
         "perturbed_cells": orbit.perturbation_count,
         "step_condition_holds": step_ok,
         "worst_definite_step": worst_step,

@@ -1,7 +1,8 @@
 """Pseudo-orbit generation, trace construction, and tracing verification.
 
 Everything here works on truncated data: a pseudo-orbit is a family of
-configurations indexed by a Cayley ball, one per group element, and every
+configurations indexed by a Cayley ball, one per group element, held as one
+cell array with a row per element (``PseudoOrbit.cells``), and every
 metric statement is made with the dyadic ball metric and its explicit
 truncation marker.  The generator never fabricates a field and hopes: it
 builds one from a genuine orbit segment, perturbs only layers that the
@@ -18,21 +19,26 @@ Radius bookkeeping, fixed once and used throughout:
     min(R - |g|, R_in); a definite mismatch at or above epsilon refutes,
     a truncation marker never does.
 
-The step check and the trace comparison are written once, for any action
-``act(a, x)`` and metric ``distance(x, y)``: shift fields use ``shift`` and
-the common-ball ``distance`` (on bare cells in the step check), quotient
-chains their levelwise action and ``level_distance``.
+The trace comparison is written once, for any action ``act(g, x)`` and
+metric ``distance(x, y)``: shift fields use ``shift`` and the common-ball
+``distance``, quotient chains their levelwise action and ``level_distance``.
+So is the generic step check, ``step_distances``, which quotient chains use;
+a shift field checks its step faces on its cell array instead, one gather
+per generator (``PseudoOrbit.step_profile``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from random import Random
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, GenerationError
+from .groups import read_only
 from .shifts import (
     Configuration,
     DyadicDistance,
@@ -41,8 +47,6 @@ from .shifts import (
     allowed_blocks,
     distance,
     enumerate_admissible,
-    gather,
-    layer_distance,
     locally_admissible,
     random_admissible,
     refutes,
@@ -95,39 +99,79 @@ def trace_distances(act: Callable, distance: Callable, ball: Sequence,
     return (distance(act(g, trace), entries[i]) for i, g in enumerate(ball))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoOrbit:
-    """A delta step field: one inner configuration per element of ball(radius)."""
+    """A delta step field: one inner configuration per element of ball(radius).
+
+    The field is one read-only array ``cells`` of the symbols 0 and 1, one
+    row per element of ball(radius) in ball order and one column per cell
+    of ball(inner_radius); row i is the entry at element i.  ``entries``
+    builds the rows as configurations when a caller asks for them.
+    """
 
     space: ShiftSpace
     sft: SftSpec
     radius: int
     inner_radius: int
     delta: Fraction
-    entries: tuple[Configuration, ...]
+    cells: np.ndarray
     mode: str
     perturbed_cells: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        geo = self.space.geometry
+        cells = read_only(np.array(self.cells, dtype=np.uint8))
+        shape = (geo.ball_size(self.radius), geo.ball_size(self.inner_radius))
+        if cells.shape != shape:
+            raise ValueError(f"a field on ball({self.radius}) with entries on "
+                             f"ball({self.inner_radius}) needs {shape[0]} rows "
+                             f"of {shape[1]} cells, got shape {cells.shape}")
+        object.__setattr__(self, "cells", cells)
 
     @property
     def perturbation_count(self) -> int:
         return len(self.perturbed_cells)
 
+    def first_entries(self, count: int) -> tuple[Configuration, ...]:
+        """The entries at the first ``count`` elements of the ball."""
+        return tuple(Configuration(self.space, self.inner_radius, tuple(row))
+                     for row in self.cells[:count].tolist())
+
+    @cached_property
+    def entries(self) -> tuple[Configuration, ...]:
+        return self.first_entries(len(self.cells))
+
     @cached_property
     def step_profile(self) -> tuple[bool, Fraction, int]:
         """(holds, worst definite face value, definite face count) of the
-        step check, computed once per field: a face gathers an entry's cells
-        moved by a generator and compares cells by layer slices."""
+        step check, computed once per field.
+
+        The face of element g and generator a compares a . x_g with x_{ag}
+        on ball(r), r = inner_radius - 1.  For each generator, one gather
+        through ``right_translation(r, a, r + 1)`` moves every source row of
+        its faces (from ``step_faces``) at once, and one comparison with the
+        target rows finds each face's first differing cell.  A face with
+        none is a marker; the others are definite, and the worst one is the
+        face whose first difference comes earliest, in the shallowest layer
+        k, with value 2^-max(k - 1, 0).
+        """
         geo = self.space.geometry
         r = self.inner_radius - 1
-        moves = [gather(geo.right_translation(r, a, r + 1))
-                 for a in self.space.spec.generators]
-        ends = [geo.ball_size(k) for k in range(r + 1)]
-        faces = step_distances(lambda a, cells: moves[a](cells),
-                               partial(layer_distance, ends), geo, self.radius,
-                               [x.cells for x in self.entries])
-        definite = [d.exponent for d in faces if not d.marker]
-        worst = Fraction(1, 2 ** min(definite)) if definite else Fraction(0)
-        return not definite or worst < self.delta, worst, len(definite)
+        n = geo.ball_size(r)
+        moves = geo.translation_array(r, r + 1)
+        src, gen, dst = geo.step_faces(self.radius)
+        firsts = []
+        for a, g in enumerate(self.space.spec.generators):
+            pick = gen == a
+            moved = self.cells[src[pick][:, None], moves[geo.position(g, 1)]]
+            differ = moved != self.cells[dst[pick], :n]
+            firsts.append(differ.argmax(axis=1)[differ.any(axis=1)])
+        first = np.concatenate(firsts)
+        if not first.size:
+            return True, Fraction(0), 0
+        layer = geo.layer_of_position(int(first.min()))
+        worst = Fraction(1, 2 ** max(layer - 1, 0))
+        return worst < self.delta, worst, len(first)
 
 
 def delta_profile(orbit: PseudoOrbit) -> tuple[bool, Fraction, int]:
@@ -152,6 +196,13 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
     admissibility-preserving single-cell flips below the preserved layers.
     Deep layers are the only legal place to deviate, so when the inner radius
     does not exceed m+3 the perturbing modes degrade to the exact field.
+
+    The exact field, row g holding shift(g, base) on ball(inner radius), is
+    one gather of the base's cells through
+    ``translation_array(inner radius, radius + inner radius)``; a perturbing
+    mode writes each entry's fill or flips back into its row, and the
+    perturbed cells are where the field and the exact field differ, in row
+    and then cell order.
     """
     if mode not in ("exact_orbit", "perturbed_orbit", "random_flip"):
         raise ValueError(f"unknown pseudo-orbit mode {mode!r}")
@@ -165,37 +216,32 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
     seeds = [rng.getrandbits(64) for _ in range(geo.ball_size(radius))]
     kept = geo.ball_size(min(plan.modulus + 3, r_in))  # the preserved layers
     inner_size = geo.ball_size(r_in)
-    entries = []
-    perturbed = []
-    for gi, g in enumerate(geo.ball(radius)):
-        # shift(g, base).restrict(r_in), gathering only ball(r_in)
-        exact = Configuration(space, r_in, gather(
-            geo.right_translation(r_in, g, radius + r_in))(base.cells))
-        if mode == "exact_orbit" or kept == inner_size:
-            entries.append(exact)
-            continue
-        sub = Random(seeds[gi])
-        if mode == "perturbed_orbit":
-            entry = random_admissible(space, sft, r_in, sub,
-                                      prefix=exact.cells[:kept])
-        else:
-            # exact is admissible and so is every accepted flip, so only
-            # the windows holding the flipped cell can reject a flip
-            windows_at = space.window_plan(r_in, sft.window_radius, True)
-            cells = list(exact.cells)
+    exact = np.frombuffer(bytes(base.cells), np.uint8)[
+        geo.translation_array(r_in, radius + r_in)]
+    rows = None
+    if mode == "perturbed_orbit" and kept < inner_size:
+        rows = [bytes(random_admissible(space, sft, r_in, Random(seeds[gi]),
+                                        prefix=tuple(head)).cells)
+                for gi, head in enumerate(exact[:, :kept].tolist())]
+    elif mode == "random_flip" and kept < inner_size:
+        # exact rows are admissible and so is every accepted flip, so only
+        # the windows holding the flipped cell can reject a flip
+        windows_at = space.window_plan(r_in, sft.window_radius, True)
+        rows = []
+        for gi, row in enumerate(exact.tolist()):
+            sub = Random(seeds[gi])
             for _ in range(flip_attempts):
                 pos = sub.randrange(kept, inner_size)
-                old = cells[pos]
-                cells[pos] = sub.randrange(2)
-                if any(read(cells) not in sft.allowed for read in windows_at[pos]):
-                    cells[pos] = old
-            entry = Configuration(space, r_in, tuple(cells))
-        for pos in range(kept, inner_size):
-            if entry.cells[pos] != exact.cells[pos]:
-                perturbed.append((gi, pos))
-        entries.append(entry)
-    orbit = PseudoOrbit(space, sft, radius, r_in, plan.delta, tuple(entries),
-                        mode, tuple(perturbed))
+                old = row[pos]
+                row[pos] = sub.randrange(2)
+                if any(read(row) not in sft.allowed for read in windows_at[pos]):
+                    row[pos] = old
+            rows.append(bytes(row))
+    field = exact if rows is None else np.frombuffer(
+        b"".join(rows), np.uint8).reshape(exact.shape)
+    perturbed = tuple(map(tuple, np.argwhere(field != exact).tolist()))
+    orbit = PseudoOrbit(space, sft, radius, r_in, plan.delta, field, mode,
+                        perturbed)
     holds, _, _ = delta_profile(orbit)
     if not holds:
         raise GenerationError("generated field violates its own step condition; "
@@ -228,9 +274,9 @@ class TraceResult:
 
 def construct_trace(orbit: PseudoOrbit) -> Configuration:
     """Read the tracing candidate off the field: cell g takes the value the
-    entry at g assigns to the identity."""
-    cells = tuple(entry.cells[0] for entry in orbit.entries)
-    return Configuration(orbit.space, orbit.radius, cells)
+    entry at g assigns to the identity, the field's column 0."""
+    return Configuration(orbit.space, orbit.radius,
+                         tuple(orbit.cells[:, 0].tolist()))
 
 
 def verify_trace(orbit: PseudoOrbit, trace: Configuration, plan: TracingPlan,
@@ -245,8 +291,9 @@ def verify_trace(orbit: PseudoOrbit, trace: Configuration, plan: TracingPlan,
         scan_radius = max(orbit.radius - plan.modulus, 0)
     if scan_radius > orbit.radius:
         raise ValueError("scan radius cannot exceed the field radius")
-    faces = trace_distances(shift, distance, geo.ball(scan_radius), trace,
-                            orbit.entries)
+    ball = geo.ball(scan_radius)
+    faces = trace_distances(shift, distance, ball, trace,
+                            orbit.first_entries(len(ball)))
     checks = []
     for gi, d in enumerate(faces):
         length = geo.layer_of_position(gi)

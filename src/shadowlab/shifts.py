@@ -33,7 +33,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, GenerationError
-from .groups import GroupElement, GroupGeometry, GroupSpec, IntegerLattice
+from .groups import (
+    GroupElement,
+    GroupGeometry,
+    GroupSpec,
+    IntegerLattice,
+    read_only,
+)
 
 NODE_BUDGET = 2_000_000
 PATTERN_BUDGET = 1 << 20
@@ -113,9 +119,8 @@ class ShiftSpace:
                               dtype=np.intp).reshape(-1, geo.ball_size(window_radius))
             ends = tables.max(axis=1)
             rows = np.argsort(ends, kind="stable")
-            order = self._window_orders[key] = (tables[rows], ends[rows])
-            for array in order:
-                array.flags.writeable = False
+            order = self._window_orders[key] = (read_only(tables[rows]),
+                                                read_only(ends[rows]))
         return order
 
 
@@ -250,6 +255,30 @@ class SftSpec:
                 return s
         return None
 
+    @cached_property
+    def allowed_table(self) -> np.ndarray:
+        """A read-only boolean table over pattern codes: the code of a
+        window holding cells c_0 .. c_{k-1} in ball order is the sum of
+        c_i * 2^i, and the table holds True exactly at the allowed ones."""
+        size = self.window_size
+        if 2 ** size > PATTERN_BUDGET:
+            raise CapacityError(f"a table of 2^{size} window patterns exceeds "
+                                f"the {PATTERN_BUDGET:,}-pattern budget")
+        table = np.zeros(2 ** size, dtype=bool)
+        patterns = np.array(sorted(self.allowed), dtype=np.intp).reshape(-1, size)
+        table[patterns @ self.pattern_weights] = True
+        return read_only(table)
+
+    @cached_property
+    def pattern_weights(self) -> np.ndarray:
+        """The weights 2^i of a window's cells in its pattern code."""
+        return read_only(1 << np.arange(self.window_size))
+
+    def allows(self, windows: np.ndarray) -> np.ndarray:
+        """Whether each row of ``windows``, the cells of one window, all 0
+        or 1, carries an allowed pattern: one table lookup per row."""
+        return self.allowed_table[windows @ self.pattern_weights]
+
 
 def window_patterns(space: ShiftSpace, window_radius: int,
                     of: str = "") -> Iterator[tuple[int, ...]]:
@@ -324,6 +353,8 @@ class _Fill:
     search cannot backtrack, ``one_pass`` finds its first random solution
     without one: it gathers every window over the drawn codes from one
     index array, and re-reads only the windows that hold no safe symbol.
+    Both check a prefix's own windows first, with one gather of them and
+    one lookup per window in the SFT's table of allowed pattern codes.
     """
 
     def __init__(self, space: ShiftSpace, sft: SftSpec, radius: int,
@@ -339,15 +370,29 @@ class _Fill:
         if len(self.prefix) > self.size:
             raise ValueError("prefix longer than the target ball")
 
+    def prefix_passes(self) -> bool:
+        """Whether the prefix holds only the symbols 0 and 1 and every
+        window it completes is allowed: one gather of those windows from
+        ``window_order`` and one table lookup per window.  Any other symbol
+        is refused first, as no allowed pattern holds it."""
+        if not self.prefix:  # no window to check: enumerations skip the order
+            return True
+        if not {0, 1}.issuperset(self.prefix):
+            return False
+        tables, ends = self.space.window_order(self.radius, self.sft.window_radius)
+        cut = ends.searchsorted(len(self.prefix))
+        if not cut:
+            return True
+        windows = np.frombuffer(bytes(self.prefix), np.uint8)[tables[:cut]]
+        return np.count_nonzero(self.sft.allows(windows)) == cut
+
     def solutions(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+        if not self.prefix_passes():
+            return
         plan = self.space.window_plan(self.radius, self.sft.window_radius)
         allowed = self.sft.allowed
         cells: list[int] = list(self.prefix) + [-1] * (self.size - len(self.prefix))
         start = len(self.prefix)
-        for pos in range(start):
-            for read in plan[pos]:
-                if read(cells) not in allowed:
-                    return
         if start == self.size:
             yield tuple(cells)
             return
@@ -409,7 +454,7 @@ class _Fill:
         and 1, and room for two nodes per free position."""
         return (self.rng is not None and self.sft.safe_symbol is not None
                 and 2 * (self.size - len(self.prefix)) <= NODE_BUDGET
-                and all(map((0, 1).__contains__, self.prefix)))
+                and {0, 1}.issuperset(self.prefix))
 
     def one_pass(self) -> Optional[tuple[int, ...]]:
         """The first solution of ``solutions(limit=1)``, or None, found
@@ -428,25 +473,22 @@ class _Fill:
         that holds the safe symbol among the drawn codes never rejects: one
         gather of every window over the codes finds the candidates, and
         only those are read again, in order, after the switches before them.
-        The prefix's own windows are checked by the same gather, before any
-        draw.
+        The prefix's own windows are checked first, by ``prefix_passes``,
+        before any draw.
         """
+        if not self.prefix_passes():
+            return None
         safe = self.sft.safe_symbol
         unsafe = (1 - safe,) * self.sft.window_size
         tables, ends = self.space.window_order(self.radius, self.sft.window_radius)
         if unsafe in self.sft.allowed:  # the full shift: no window rejects
             tables, ends = tables[:0], ends[:0]
-
-        def hold_no_safe(cells: bytes, windows: np.ndarray) -> np.ndarray:
-            return (np.frombuffer(cells, np.uint8)[windows] != safe).all(axis=1)
-
         start = len(self.prefix)
         cut = int(np.searchsorted(ends, start))
-        head = bytes(self.prefix)
-        if hold_no_safe(head, tables[:cut]).any():
-            return None
-        codes = head + _binary_codes(self.rng.getrandbits, self.size - start)
-        rows = cut + np.flatnonzero(hold_no_safe(codes, tables[cut:]))
+        codes = bytes(self.prefix) + _binary_codes(self.rng.getrandbits,
+                                                   self.size - start)
+        drawn = np.frombuffer(codes, np.uint8)[tables[cut:]]
+        rows = cut + np.flatnonzero((drawn != safe).all(axis=1))
         cells = list(codes)
         switches = 0
         for table, pos in zip(tables[rows].tolist(), ends[rows].tolist()):

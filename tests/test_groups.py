@@ -233,6 +233,14 @@ def test_translations_from_generator_tables_match_products(name):
             for src in range(dst - length + 1):
                 expected = tuple(geo.position(h * g, dst) for h in geo.ball(src))
                 assert geo.right_translation(src, g, dst) == expected
+    # the array form holds the same tables as its rows
+    for dst in range(top + 1):
+        for src in range(dst + 2):
+            array = geo.translation_array(src, dst)
+            assert array.shape == (len(geo.translation_tables(src, dst)),
+                                   geo.ball_size(src))
+            assert list(map(tuple, array.tolist())) \
+                == list(geo.translation_tables(src, dst))
     # the window readers, plans and orders of a cold space read the same
     # tables: a reader called on the positions themselves returns its table
     space = ShiftSpace(GroupGeometry(spec))
@@ -271,15 +279,28 @@ def test_translations_from_generator_tables_match_products(name):
         geo.right_translation(-1, spec.identity(), top)
 
 
+def assert_frozen(array):
+    """Neither a write nor making the array writeable again gets through."""
+    with pytest.raises(ValueError, match="read-only"):
+        array.flat[0] = array.flat[0]
+    with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+        array.flags.writeable = True
+
+
 def test_window_orders_are_shared_and_read_only():
+    """So are the translation arrays and step faces: no holder of a cached
+    index array can write through it."""
     space = ShiftSpace(GroupGeometry(free_rank2_spec()))
+    geo = space.geometry
     tables, ends = space.window_order(3, 1)
     assert space.window_order(3, 1)[0] is tables
-    with pytest.raises(ValueError, match="read-only"):
-        tables[0, 0] = 1
-    with pytest.raises(ValueError, match="read-only"):
-        ends[:] = 0
     assert tables[0].tolist() == list(range(5)) and ends[0] == 4
+    translations = geo.translation_array(2, 5)
+    assert geo.translation_array(2, 5) is translations
+    faces = geo.step_faces(3)
+    assert geo.step_faces(3) is faces
+    for array in (tables, ends, translations, faces):
+        assert_frozen(array)
 
 
 @pytest.mark.parametrize("name", sorted(_table_specs()))
@@ -294,6 +315,10 @@ def test_step_tables_list_left_generator_neighbours(name):
                   if a * g in index)
             for g in ball)
         assert geo.step_table(radius) == expected
+        faces = geo.step_faces(radius)
+        assert faces.shape == (3, sum(map(len, expected)))
+        assert list(zip(*faces.tolist())) == [
+            (i, a, j) for i, steps in enumerate(expected) for a, j in steps]
 
 
 @pytest.mark.parametrize("name", sorted(_table_specs()))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from shadowlab import shadowing
@@ -127,21 +128,20 @@ def test_generated_field_runs_its_step_check_once(golden):
     first = delta_profile(orb)
     assert delta_profile(orb) is first
     fresh = PseudoOrbit(orb.space, orb.sft, orb.radius, orb.inner_radius,
-                        orb.delta, orb.entries, orb.mode, orb.perturbed_cells)
+                        orb.delta, orb.cells.copy(), orb.mode,
+                        orb.perturbed_cells)
     assert "step_profile" not in vars(fresh)
     assert delta_profile(fresh) == first and delta_profile(fresh) is not first
 
 
-def test_corrupted_field_is_caught(line_space, golden):
+def test_corrupted_field_is_caught(golden):
     plan = potp_modulus(1, Fraction(1, 8))
     orb = generate_pseudo_orbit(golden, 6, plan, Random(3), mode="exact_orbit")
-    entries = list(orb.entries)
+    cells = orb.cells.copy()
     victim = 1  # a layer-one entry; flip its center cell
-    cells = list(entries[victim].cells)
-    cells[0] = 1 - cells[0]
-    entries[victim] = Configuration(line_space, orb.inner_radius, tuple(cells))
+    cells[victim, 0] ^= 1
     broken = PseudoOrbit(orb.space, orb.sft, orb.radius, orb.inner_radius,
-                         orb.delta, tuple(entries), orb.mode, ())
+                         orb.delta, cells, orb.mode, ())
     holds, _, _ = delta_profile(broken)
     assert not holds
     res = verify_trace(broken, construct_trace(broken), plan)
@@ -584,14 +584,67 @@ def test_step_profile_matches_the_element_loop(group):
             assert delta_profile(orb) == _ref_step_profile(orb)
             # hand corruption: one entry's cell in layer 1, then a deep one
             for layer in (1, inner):
-                entries = list(orb.entries)
-                victim = len(entries) - 1 - seed
-                cells = list(entries[victim].cells)
-                pos = orb.space.geometry.ball_size(layer) - 1
-                cells[pos] = 1 - cells[pos]
-                entries[victim] = Configuration(orb.space, inner, tuple(cells))
+                cells = orb.cells.copy()
+                victim = len(cells) - 1 - seed
+                cells[victim, orb.space.geometry.ball_size(layer) - 1] ^= 1
                 broken = PseudoOrbit(orb.space, sft, radius, inner, orb.delta,
-                                     tuple(entries), mode, ())
+                                     cells, mode, ())
                 assert delta_profile(broken) == _ref_step_profile(broken)
                 if layer == 1:
                     assert not delta_profile(broken)[0]
+
+
+@pytest.mark.parametrize("group", sorted(_FLIP_CASES))
+def test_array_step_check_matches_the_reference_on_broken_fields(group):
+    """Hand-broken fields with their first difference in every compared
+    layer 0..r (r = inner radius - 1): at index 0, and at the first and
+    the last cell of each layer, in the first entry and in the last."""
+    build, radius, plan, inner = _FLIP_CASES[group]
+    sft = build(ShiftSpace(GroupGeometry(_GROUP_SPECS[group]())))
+    geo = sft.space.geometry
+    cuts = [0] + [geo.ball_size(k) for k in range(inner)]
+    positions = sorted({p for lo, hi in zip(cuts, cuts[1:]) for p in (lo, hi - 1)})
+    assert positions[0] == 0 and positions[-1] == geo.ball_size(inner - 1) - 1
+    for mode in ("exact_orbit", "perturbed_orbit", "random_flip"):
+        orb = generate_pseudo_orbit(sft, radius, plan, Random(7), mode=mode,
+                                    inner_radius=inner)
+        profile = delta_profile(orb)
+        assert profile == _ref_step_profile(orb)
+        if mode == "exact_orbit":  # slices of one orbit: every face a marker
+            assert profile == (True, 0, 0)
+        layers = set()
+        for victim in (0, len(orb.cells) - 1):
+            for pos in positions:
+                cells = orb.cells.copy()
+                cells[victim, pos] ^= 1
+                broken = PseudoOrbit(orb.space, sft, radius, inner, orb.delta,
+                                     cells, mode, ())
+                profile = delta_profile(broken)
+                assert profile == _ref_step_profile(broken), (mode, victim, pos)
+                if mode == "exact_orbit":  # a broken face is definite
+                    assert profile[2] > 0
+                layers.add(geo.layer_of_position(pos))
+        assert layers == set(range(inner))
+
+
+def _assert_frozen(array):
+    with pytest.raises(ValueError, match="read-only"):
+        array[0, 0] = 0
+    with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+        array.flags.writeable = True
+
+
+def test_field_cells_are_read_only(golden):
+    plan = potp_modulus(1, Fraction(1, 8))
+    orb = generate_pseudo_orbit(golden, 4, plan, Random(0), inner_radius=8)
+    assert orb.cells.shape == (9, 17) and orb.cells.dtype == np.uint8
+    _assert_frozen(orb.cells)
+    # a field built by hand is frozen too, and its caller's array is not
+    cells = orb.cells.copy()
+    fresh = PseudoOrbit(orb.space, golden, 4, 8, orb.delta, cells, orb.mode, ())
+    _assert_frozen(fresh.cells)
+    cells[0, 0] ^= 1
+    assert fresh.cells[0, 0] == orb.cells[0, 0]
+    assert [x.cells for x in fresh.entries] == [tuple(r) for r in orb.cells.tolist()]
+    with pytest.raises(ValueError, match="needs 9 rows of 17 cells"):
+        PseudoOrbit(orb.space, golden, 4, 8, orb.delta, cells[1:], orb.mode, ())

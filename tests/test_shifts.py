@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +36,7 @@ from shadowlab.shifts import (
     refutes,
     sft_from_forbidden,
     shift,
+    SftSpec,
     ShiftSpace,
     _Fill,
     _binary_codes,
@@ -771,3 +773,64 @@ def test_only_fills_with_a_safe_symbol_skip_the_search(free_space, plane_space,
         random_admissible(plane_space, hard_square_sft(plane_space), 4, Random(0))
     with pytest.raises(AssertionError, match="searched"):  # not a symbol
         random_admissible(free_space, sft, 3, Random(0), prefix=(2,))
+
+
+def test_allowed_tables_hold_the_allowed_patterns(line_space, plane_space,
+                                                  free_space):
+    for sft in (golden_mean_sft(line_space), hard_square_sft(plane_space),
+                one_forbidden_window_sft(free_space), full_shift(line_space),
+                sft_from_forbidden(line_space, 0, [(0,), (1,)])):
+        k = sft.window_size
+        table = sft.allowed_table
+        assert table.tolist() == [
+            tuple((code >> i) & 1 for i in range(k)) in sft.allowed
+            for code in range(2 ** k)]
+        patterns = np.array(list(itertools.product((0, 1), repeat=k)), np.uint8)
+        assert sft.allows(patterns).tolist() \
+            == [tuple(c) in sft.allowed for c in patterns.tolist()]
+        for array in (table, sft.pattern_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                array.flags.writeable = True
+    # a window of 21 cells has more pattern codes than the budget allows
+    wide = SftSpec(line_space, 10, frozenset({(0,) * 21}))
+    with pytest.raises(CapacityError, match="2\\^21 window patterns"):
+        wide.allowed_table
+
+
+def test_a_forbidden_prefix_yields_nothing_and_draws_nothing(plane_space):
+    sft = hard_square_sft(plane_space)
+    # the identity and its first neighbour both hold 1: the window at the
+    # identity, inside the prefix's ball(2), is forbidden
+    prefix = (1, 1) + (0,) * (plane_space.geometry.ball_size(2) - 2)
+    for seed in range(3):
+        rng = Random(seed)
+        state = rng.getstate()
+        fill = _Fill(plane_space, sft, 4, prefix=prefix, rng=rng)
+        assert not fill.prefix_passes()
+        assert list(fill.solutions()) == [] and fill.nodes == 0
+        with pytest.raises(GenerationError):
+            random_admissible(plane_space, sft, 4, rng, prefix=prefix)
+        assert rng.getstate() == state
+        ref = _RefFill(plane_space, sft, 4, prefix=prefix, rng=Random(seed))
+        assert list(ref.solutions()) == [] and ref.nodes == 0
+
+
+def test_a_non_binary_prefix_is_refused_not_aliased(line_space):
+    # as a pattern code, a 2 in one cell reads as a 1 in the next: the
+    # window (0, 2, 0) would pass as the allowed (0, 0, 1), and a 2 on a
+    # one-cell window would index past the table
+    for sft, prefix in ((golden_mean_sft(line_space), (0, 2, 0)),
+                        (one_forbidden_window_sft(line_space), (0, 2, 0)),
+                        (full_shift(line_space), (0, 2))):
+        rng = Random(0)
+        state = rng.getstate()
+        fill = _Fill(line_space, sft, 3, prefix=prefix, rng=rng)
+        assert not fill.prefix_passes()
+        assert list(fill.solutions()) == [] and fill.nodes == 0
+        if sft.safe_symbol is not None:
+            assert fill.one_pass() is None
+        assert rng.getstate() == state
+    assert list(_RefFill(line_space, golden_mean_sft(line_space), 3,
+                         prefix=(0, 2, 0)).solutions()) == []
