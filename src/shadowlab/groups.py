@@ -305,7 +305,8 @@ class GroupGeometry:
     per table.  One cache per (src, dst) holds the tables of every g in
     ball(dst - src), in ball order, since the shift action reuses them
     heavily; the step tables are cached too, and so are the read-only
-    array forms of both that the array kernels gather through.
+    array forms of both that the array kernels gather through, and the
+    flat cell indices a field's step check gathers.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -321,6 +322,7 @@ class GroupGeometry:
         self._step_tables: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
         self._translation_arrays: dict[tuple[int, int], np.ndarray] = {}
         self._step_faces: dict[int, np.ndarray] = {}
+        self._step_cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def family(self):
@@ -485,6 +487,27 @@ class GroupGeometry:
             faces = np.array(flat, dtype=np.intp).reshape(-1, 3).T
             faces = self._step_faces[radius] = read_only(faces)
         return faces
+
+    def step_cells(self, radius: int,
+                   inner_radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cells every face of ``step_faces(radius)`` compares, in a
+        field of ball(inner_radius) cells per element of ball(radius) read
+        flat, row after row: two read-only integer arrays (source, target)
+        with one row per face and one column per h in ball(r), r =
+        inner_radius - 1.  Face (src, a, dst) compares cell h*a of row src
+        with cell h of row dst."""
+        key = (radius, inner_radius)
+        cells = self._step_cells.get(key)
+        if cells is None:
+            r = inner_radius - 1
+            width = self.ball_size(inner_radius)
+            src, gen, dst = self.step_faces(radius)
+            moves = self.translation_array(r, r + 1)[
+                [self._index[a] for a in self.spec.generators]]
+            cells = self._step_cells[key] = (
+                read_only(src[:, None] * width + moves[gen]),
+                read_only(dst[:, None] * width + np.arange(self.ball_size(r))))
+        return cells
 
 
 def integer_line_spec() -> GroupSpec:

@@ -23,12 +23,14 @@ The trace comparison is written once, for any action ``act(g, x)`` and
 metric ``distance(x, y)``: shift fields use ``shift`` and the common-ball
 ``distance``, quotient chains their levelwise action and ``level_distance``.
 So is the generic step check, ``step_distances``, which quotient chains use;
-a shift field checks its step faces on its cell array instead, one gather
-per generator (``PseudoOrbit.step_profile``).
+a shift field checks its step faces on its cell array instead, with one
+gather of every face's cells (``PseudoOrbit.step_profile``), and its trace
+with one gather per comparison radius (``verify_trace``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,6 +49,7 @@ from .shifts import (
     allowed_blocks,
     distance,
     enumerate_admissible,
+    fill_rows,
     locally_admissible,
     random_admissible,
     refutes,
@@ -132,14 +135,10 @@ class PseudoOrbit:
     def perturbation_count(self) -> int:
         return len(self.perturbed_cells)
 
-    def first_entries(self, count: int) -> tuple[Configuration, ...]:
-        """The entries at the first ``count`` elements of the ball."""
-        return tuple(Configuration(self.space, self.inner_radius, tuple(row))
-                     for row in self.cells[:count].tolist())
-
     @cached_property
     def entries(self) -> tuple[Configuration, ...]:
-        return self.first_entries(len(self.cells))
+        return tuple(Configuration(self.space, self.inner_radius, tuple(row))
+                     for row in self.cells.tolist())
 
     @cached_property
     def step_profile(self) -> tuple[bool, Fraction, int]:
@@ -147,31 +146,24 @@ class PseudoOrbit:
         step check, computed once per field.
 
         The face of element g and generator a compares a . x_g with x_{ag}
-        on ball(r), r = inner_radius - 1.  For each generator, one gather
-        through ``right_translation(r, a, r + 1)`` moves every source row of
-        its faces (from ``step_faces``) at once, and one comparison with the
-        target rows finds each face's first differing cell.  A face with
-        none is a marker; the others are definite, and the worst one is the
-        face whose first difference comes earliest, in the shallowest layer
-        k, with value 2^-max(k - 1, 0).
+        on ball(r), r = inner_radius - 1.  One gather of the flat cells
+        through the geometry's ``step_cells`` reads the moved source cells
+        and the target cells of every face, and one comparison finds the
+        faces that differ.  A face with no difference is a marker; the
+        others are definite, and the worst one is the face whose first
+        difference comes earliest, in the shallowest layer k, with value
+        2^-max(k - 1, 0).
         """
         geo = self.space.geometry
-        r = self.inner_radius - 1
-        n = geo.ball_size(r)
-        moves = geo.translation_array(r, r + 1)
-        src, gen, dst = geo.step_faces(self.radius)
-        firsts = []
-        for a, g in enumerate(self.space.spec.generators):
-            pick = gen == a
-            moved = self.cells[src[pick][:, None], moves[geo.position(g, 1)]]
-            differ = moved != self.cells[dst[pick], :n]
-            firsts.append(differ.argmax(axis=1)[differ.any(axis=1)])
-        first = np.concatenate(firsts)
-        if not first.size:
+        cells = self.cells.ravel()
+        src, dst = geo.step_cells(self.radius, self.inner_radius)
+        differ = cells[src] != cells[dst]
+        definite = int(np.count_nonzero(differ.any(axis=1)))
+        if not definite:
             return True, Fraction(0), 0
-        layer = geo.layer_of_position(int(first.min()))
+        layer = geo.layer_of_position(int(differ.any(axis=0).argmax()))
         worst = Fraction(1, 2 ** max(layer - 1, 0))
-        return worst < self.delta, worst, len(first)
+        return worst < self.delta, worst, definite
 
 
 def delta_profile(orbit: PseudoOrbit) -> tuple[bool, Fraction, int]:
@@ -197,12 +189,14 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
     Deep layers are the only legal place to deviate, so when the inner radius
     does not exceed m+3 the perturbing modes degrade to the exact field.
 
-    The exact field, row g holding shift(g, base) on ball(inner radius), is
-    one gather of the base's cells through
-    ``translation_array(inner radius, radius + inner radius)``; a perturbing
-    mode writes each entry's fill or flips back into its row, and the
-    perturbed cells are where the field and the exact field differ, in row
-    and then cell order.
+    The base's cells come from ``fill_rows`` as one uint8 row.  The exact
+    field, row g holding shift(g, base) on ball(inner radius), is one
+    gather of them through ``translation_array(inner radius, radius +
+    inner radius)``.  ``perturbed_orbit`` refills every row below its
+    preserved head with one ``fill_rows`` batch, each row with its own
+    ``Random(seed)``; ``random_flip`` flips cells row by row.  The perturbed
+    cells are where the field and the exact field differ, in row and then
+    cell order.
     """
     if mode not in ("exact_orbit", "perturbed_orbit", "random_flip"):
         raise ValueError(f"unknown pseudo-orbit mode {mode!r}")
@@ -212,17 +206,15 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
     if r_in < plan.modulus + 2:
         raise ValueError("inner radius must be at least m+2 to keep the step "
                          "condition certifiable")
-    base = random_admissible(space, sft, radius + r_in, rng)
+    base = fill_rows(space, sft, radius + r_in, np.empty((1, 0), np.uint8),
+                     [rng])[0]
     seeds = [rng.getrandbits(64) for _ in range(geo.ball_size(radius))]
     kept = geo.ball_size(min(plan.modulus + 3, r_in))  # the preserved layers
     inner_size = geo.ball_size(r_in)
-    exact = np.frombuffer(bytes(base.cells), np.uint8)[
-        geo.translation_array(r_in, radius + r_in)]
-    rows = None
+    exact = base[geo.translation_array(r_in, radius + r_in)]
+    field = exact
     if mode == "perturbed_orbit" and kept < inner_size:
-        rows = [bytes(random_admissible(space, sft, r_in, Random(seeds[gi]),
-                                        prefix=tuple(head)).cells)
-                for gi, head in enumerate(exact[:, :kept].tolist())]
+        field = fill_rows(space, sft, r_in, exact[:, :kept], list(map(Random, seeds)))
     elif mode == "random_flip" and kept < inner_size:
         # exact rows are admissible and so is every accepted flip, so only
         # the windows holding the flipped cell can reject a flip
@@ -237,8 +229,7 @@ def generate_pseudo_orbit(sft: SftSpec, radius: int, plan: TracingPlan,
                 if any(read(row) not in sft.allowed for read in windows_at[pos]):
                     row[pos] = old
             rows.append(bytes(row))
-    field = exact if rows is None else np.frombuffer(
-        b"".join(rows), np.uint8).reshape(exact.shape)
+        field = np.frombuffer(b"".join(rows), np.uint8).reshape(exact.shape)
     perturbed = tuple(map(tuple, np.argwhere(field != exact).tolist()))
     orbit = PseudoOrbit(space, sft, radius, r_in, plan.delta, field, mode,
                         perturbed)
@@ -284,21 +275,37 @@ def verify_trace(orbit: PseudoOrbit, trace: Configuration, plan: TracingPlan,
     """Check d(g . trace, entry(g)) against epsilon over a scan ball.
 
     The default scan radius is R - m, the largest ball on which the shifted
-    trace still exposes agreement down to the tolerance scale.
+    trace still exposes agreement down to the tolerance scale.  Frame g
+    compares g . trace with the entry at g on ball(c), c = min(R - |g|,
+    inner radius); the frames of one c are consecutive in ball order, and
+    one gather of the trace's cells through ``translation_array(c, R)``
+    moves them all.  A frame with no differing cell is a marker; otherwise
+    the layer k of its first difference gives 2^-max(k - 1, 0).
     """
     geo = orbit.space.geometry
+    radius = orbit.radius
     if scan_radius is None:
-        scan_radius = max(orbit.radius - plan.modulus, 0)
-    if scan_radius > orbit.radius:
+        scan_radius = max(radius - plan.modulus, 0)
+    if scan_radius > radius:
         raise ValueError("scan radius cannot exceed the field radius")
-    ball = geo.ball(scan_radius)
-    faces = trace_distances(shift, distance, ball, trace,
-                            orbit.first_entries(len(ball)))
+    if trace.radius != radius:
+        raise ValueError("the trace must live on the field's ball")
+    cells = np.array(trace.cells, dtype=np.uint8)
+    lengths = list(map(geo.layer_of_position, range(geo.ball_size(scan_radius))))
     checks = []
-    for gi, d in enumerate(faces):
-        length = geo.layer_of_position(gi)
-        c = min(orbit.radius - length, orbit.inner_radius)
-        checks.append(TraceCheck(gi, length, c, d, not refutes(d, plan.epsilon)))
+    for c, frames in itertools.groupby(
+            lengths, lambda length: min(radius - length, orbit.inner_radius)):
+        lo = len(checks)
+        hi = lo + len(list(frames))
+        n = geo.ball_size(c)
+        differ = (cells[geo.translation_array(c, radius)[lo:hi]]
+                  != orbit.cells[lo:hi, :n])
+        firsts = np.where(differ.any(axis=1), differ.argmax(axis=1), n)
+        for gi, first in enumerate(firsts.tolist(), lo):
+            d = (DyadicDistance(c + 1, True) if first == n else DyadicDistance(
+                max(geo.layer_of_position(first) - 1, 0), False))
+            checks.append(TraceCheck(gi, lengths[gi], c, d,
+                                     not refutes(d, plan.epsilon)))
     admissible = locally_admissible(trace, orbit.sft)
     return TraceResult(trace, scan_radius, tuple(checks), admissible,
                        all(c.passed for c in checks) and admissible)

@@ -319,9 +319,6 @@ def locally_admissible(x: Configuration, sft: SftSpec) -> bool:
                for read in x.space.window_readers(x.radius, sft.window_radius))
 
 
-# Random.shuffle on (0, 1) swaps on draw 0 and keeps the order on draw 1
-_DRAWN_ORDER = ((1, 0), (0, 1))
-
 # getrandbits(2) is the top two bits of one 32-bit word; a binary draw keeps
 # the first word whose top bit is clear, and its code is the next bit
 _KEPT_CODE = bytes(t >> 6 for t in range(128)) + bytes(128)
@@ -342,24 +339,51 @@ def _binary_codes(getrandbits: Callable[[int], int], count: int) -> bytearray:
     return codes
 
 
+def _prefixes_pass(space: ShiftSpace, sft: SftSpec, radius: int,
+                   heads: np.ndarray) -> np.ndarray:
+    """Whether each row of ``heads`` (a uint8 array, one prefix of a fill
+    of ball(radius) per row) holds only the symbols 0 and 1 and every
+    window it completes is allowed: one gather of those windows from
+    ``window_order`` for every row at once, and one lookup per window in
+    the SFT's table of allowed pattern codes.  A row holding any other
+    symbol is refused, and its cells are zeroed before the codes are
+    formed, as its code would alias an allowed one or leave the table."""
+    count, length = heads.shape
+    passes = np.ones(count, dtype=bool)
+    if not length:  # no window to check
+        return passes
+    if heads.max(initial=0) > 1:
+        passes = heads.max(axis=1) <= 1
+        heads = heads * passes[:, None]
+    tables, ends = space.window_order(radius, sft.window_radius)
+    cut = int(ends.searchsorted(length))
+    if cut:
+        allowed = sft.allows(heads[:, tables[:cut]].reshape(-1, sft.window_size))
+        if not allowed.all():
+            passes &= np.count_nonzero(allowed.reshape(count, cut), axis=1) == cut
+    return passes
+
+
 class _Fill:
     """Backtracking filler/enumerator for locally admissible assignments.
 
-    A descent allocates nothing: its candidate order ((0, 1) without an
-    RNG) is one of two constant tuples, picked by the draw Random.shuffle
-    makes, and per-position lists made once per search keep each position's
-    order and its count of untried candidates, tried from the back.  A search
-    visits at most ``NODE_BUDGET`` nodes, read when it starts.  Where the
-    search cannot backtrack, ``one_pass`` finds its first random solution
-    without one: it gathers every window over the drawn codes from one
-    index array, and re-reads only the windows that hold no safe symbol.
-    Both check a prefix's own windows first, with one gather of them and
-    one lookup per window in the SFT's table of allowed pattern codes.
+    A node's first candidate is its drawn code (Random.shuffle's one draw
+    on two symbols, made inline) and its second the other symbol; without
+    an RNG, 1 comes first and then 0.  The search keeps, per placed
+    position, its untried candidate or -1 in one list made once per search,
+    so a descent allocates nothing.  A search visits at most
+    ``NODE_BUDGET`` nodes, read when it starts.  Where the search cannot
+    backtrack, ``one_pass`` finds its first random solution without one:
+    it gathers every window over the drawn codes from one index array, and
+    re-reads only the windows that hold no safe symbol.  Both check the
+    prefix's own windows first unless ``passes``, the verdict of a batch
+    check (``fill_rows``, ``allowed_blocks``), is given; cells are drawn
+    only after a passing verdict.
     """
 
     def __init__(self, space: ShiftSpace, sft: SftSpec, radius: int,
-                 prefix: Optional[tuple[int, ...]] = None,
-                 rng: Optional[Random] = None):
+                 prefix: Optional[Sequence[int]] = None,
+                 rng: Optional[Random] = None, passes: Optional[bool] = None):
         self.space = space
         self.sft = sft
         self.radius = radius
@@ -367,24 +391,21 @@ class _Fill:
         self.prefix = prefix or ()
         self.rng = rng
         self.nodes = 0
+        self.passes = passes
         if len(self.prefix) > self.size:
             raise ValueError("prefix longer than the target ball")
 
     def prefix_passes(self) -> bool:
         """Whether the prefix holds only the symbols 0 and 1 and every
-        window it completes is allowed: one gather of those windows from
-        ``window_order`` and one table lookup per window.  Any other symbol
-        is refused first, as no allowed pattern holds it."""
-        if not self.prefix:  # no window to check: enumerations skip the order
-            return True
-        if not {0, 1}.issuperset(self.prefix):
-            return False
-        tables, ends = self.space.window_order(self.radius, self.sft.window_radius)
-        cut = ends.searchsorted(len(self.prefix))
-        if not cut:
-            return True
-        windows = np.frombuffer(bytes(self.prefix), np.uint8)[tables[:cut]]
-        return np.count_nonzero(self.sft.allows(windows)) == cut
+        window it completes is allowed: the batch check on a batch of one,
+        unless a verdict was given.  An empty prefix completes no window."""
+        if self.passes is None:
+            # a symbol outside 0 and 1 is refused before it meets a byte
+            self.passes = not self.prefix or (
+                {0, 1}.issuperset(self.prefix) and bool(_prefixes_pass(
+                    self.space, self.sft, self.radius,
+                    np.frombuffer(bytes(self.prefix), np.uint8)[None])[0]))
+        return self.passes
 
     def solutions(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         if not self.prefix_passes():
@@ -397,38 +418,24 @@ class _Fill:
             yield tuple(cells)
             return
         getrandbits = self.rng.getrandbits if self.rng is not None else None
-        natural = _DRAWN_ORDER[1]
-        order_at: list[tuple[int, ...]] = [natural] * self.size
-        untried_at = [0] * self.size
+        pending = [-1] * self.size  # each placed position's untried candidate
         last = self.size - 1
         budget = NODE_BUDGET
         nodes = self.nodes
         pos = start - 1
         emitted = 0
         while True:
-            # descend one position and draw its candidate order
+            # descend one position and draw its first candidate
             pos += 1
             if getrandbits is None:
-                order = natural
+                cand = 1
             else:
-                # Random.shuffle's one draw on two symbols, inline
-                code = getrandbits(2)
-                while code > 1:
-                    code = getrandbits(2)
-                order = _DRAWN_ORDER[code]
-            untried = 2
-            # try candidates from the back, backtracking when a position runs out
+                cand = getrandbits(2)
+                while cand > 1:
+                    cand = getrandbits(2)
+            other = 1 - cand
             while True:
-                if not untried:
-                    if pos == start:
-                        self.nodes = nodes
-                        return
-                    pos -= 1
-                    order = order_at[pos]
-                    untried = untried_at[pos]
-                    continue
-                untried -= 1
-                cells[pos] = order[untried]
+                cells[pos] = cand
                 nodes += 1
                 if nodes > budget:
                     self.nodes = nodes
@@ -439,14 +446,21 @@ class _Fill:
                         break
                 else:
                     if pos < last:
-                        order_at[pos] = order
-                        untried_at[pos] = untried
+                        pending[pos] = other
                         break
                     self.nodes = nodes
                     yield tuple(cells)
                     emitted += 1
                     if limit is not None and emitted >= limit:
                         return
+                # the next candidate here, or at the deepest position with one
+                while other < 0:
+                    if pos == start:
+                        self.nodes = nodes
+                        return
+                    pos -= 1
+                    other = pending[pos]
+                cand, other = other, -1
 
     def one_pass_fits(self) -> bool:
         """Whether ``one_pass`` finds what ``solutions`` would first: a
@@ -456,9 +470,9 @@ class _Fill:
                 and 2 * (self.size - len(self.prefix)) <= NODE_BUDGET
                 and {0, 1}.issuperset(self.prefix))
 
-    def one_pass(self) -> Optional[tuple[int, ...]]:
-        """The first solution of ``solutions(limit=1)``, or None, found
-        with no search when ``one_pass_fits``.
+    def one_pass(self) -> Optional[bytes]:
+        """The cells of the first solution of ``solutions(limit=1)``, or
+        None, found with no search when ``one_pass_fits``.
 
         A position holding the safe symbol passes every window, so the
         search never backtracks: it draws one code per position in ball
@@ -471,10 +485,10 @@ class _Fill:
         The windows are read from ``window_order`` in the order the search
         completes them.  A switch only ever turns a cell safe, so a window
         that holds the safe symbol among the drawn codes never rejects: one
-        gather of every window over the codes finds the candidates, and
-        only those are read again, in order, after the switches before them.
-        The prefix's own windows are checked first, by ``prefix_passes``,
-        before any draw.
+        gather per window cell over the codes, ANDed column by column,
+        finds the candidates, and only those are read again, in order,
+        after the switches before them.  The prefix's own windows are
+        checked first, by ``prefix_passes``, before any draw.
         """
         if not self.prefix_passes():
             return None
@@ -485,31 +499,64 @@ class _Fill:
             tables, ends = tables[:0], ends[:0]
         start = len(self.prefix)
         cut = int(np.searchsorted(ends, start))
-        codes = bytes(self.prefix) + _binary_codes(self.rng.getrandbits,
-                                                   self.size - start)
-        drawn = np.frombuffer(codes, np.uint8)[tables[cut:]]
-        rows = cut + np.flatnonzero((drawn != safe).all(axis=1))
-        cells = list(codes)
+        cells = bytearray(self.prefix) + _binary_codes(self.rng.getrandbits,
+                                                       self.size - start)
+        codes = np.frombuffer(cells, np.uint8)
+        columns = tables[cut:].T
+        rejects = codes[columns[0]] != safe
+        for column in columns[1:]:
+            rejects &= codes[column] != safe
+        rows = cut + np.flatnonzero(rejects)
         switches = 0
         for table, pos in zip(tables[rows].tolist(), ends[rows].tolist()):
             if safe not in map(cells.__getitem__, table):
                 cells[pos] = safe
                 switches += 1
         self.nodes += self.size - start + switches
-        return tuple(cells)
+        return bytes(cells)
+
+    def first_cells(self) -> Sequence[int]:
+        """The cells of the first random solution, from ``one_pass`` where
+        it fits and from ``solutions`` otherwise; GenerationError where
+        there is none, refused prefixes included."""
+        if self.one_pass_fits():
+            cells = self.one_pass()
+        else:
+            cells = next(self.solutions(limit=1), None)
+        if cells is None:
+            raise GenerationError(f"no locally admissible configuration on "
+                                  f"ball({self.radius}) with the given prefix")
+        return cells
+
+
+def fill_rows(space: ShiftSpace, sft: SftSpec, radius: int, heads: np.ndarray,
+              rngs: Sequence[Random]) -> np.ndarray:
+    """One random locally admissible fill of ball(radius) per row of
+    ``heads`` (a uint8 array, one prefix per row), each drawn with its own
+    RNG, as the rows of one uint8 array.
+
+    Every head's own windows are checked at once (``_prefixes_pass``).  A
+    failing head is handed to ``random_admissible``, whose lone fill refuses
+    it before any row draws.  Otherwise each row is filled by its own
+    ``_Fill``, with the verdict given (``_Fill.first_cells``).
+    """
+    passes = _prefixes_pass(space, sft, radius, heads)
+    if not passes.all():  # raises GenerationError
+        bad = int(passes.argmin())
+        random_admissible(space, sft, radius, rngs[bad], heads[bad].tobytes())
+    rows = [bytes(_Fill(space, sft, radius, head.tobytes(), rng, True).first_cells())
+            for head, rng in zip(heads, rngs)]
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(
+        len(rows), space.geometry.ball_size(radius))
 
 
 def random_admissible(space: ShiftSpace, sft: SftSpec, radius: int, rng: Random,
-                      prefix: Optional[tuple[int, ...]] = None) -> Configuration:
-    fill = _Fill(space, sft, radius, prefix=prefix, rng=rng)
-    if fill.one_pass_fits():
-        cells = fill.one_pass()
-    else:
-        cells = next(fill.solutions(limit=1), None)
-    if cells is None:
-        raise GenerationError(
-            f"no locally admissible configuration on ball({radius}) with the given prefix")
-    return Configuration(space, radius, cells)
+                      prefix: Optional[Sequence[int]] = None) -> Configuration:
+    """A random locally admissible configuration on ball(radius) extending
+    ``prefix``, drawn with ``rng``: one ``_Fill``, whose prefix check is the
+    batch check on a batch of one."""
+    cells = _Fill(space, sft, radius, prefix, rng).first_cells()
+    return Configuration(space, radius, tuple(cells))
 
 
 def enumerate_admissible(space: ShiftSpace, sft: SftSpec,
@@ -523,12 +570,14 @@ def allowed_blocks(sft: SftSpec, k: int, slack: int) -> tuple[tuple[int, ...], .
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     space = sft.space
-    out = []
-    for base in enumerate_admissible(space, sft, k):
-        fill = _Fill(space, sft, k + slack, prefix=base)
-        if next(fill.solutions(limit=1), None) is not None:
-            out.append(base)
-    return tuple(sorted(out))
+    bases = list(enumerate_admissible(space, sft, k))
+    heads = np.array(bases, dtype=np.uint8).reshape(len(bases),
+                                                     space.geometry.ball_size(k))
+    passes = _prefixes_pass(space, sft, k + slack, heads)
+    return tuple(sorted(
+        base for base, ok in zip(bases, passes.tolist()) if ok and next(
+            _Fill(space, sft, k + slack, base, passes=True).solutions(limit=1),
+            None) is not None))
 
 
 def _line_index_map(space: ShiftSpace, radius: int) -> list[int]:

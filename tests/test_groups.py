@@ -299,7 +299,9 @@ def test_window_orders_are_shared_and_read_only():
     assert geo.translation_array(2, 5) is translations
     faces = geo.step_faces(3)
     assert geo.step_faces(3) is faces
-    for array in (tables, ends, translations, faces):
+    cells = geo.step_cells(3, 4)
+    assert geo.step_cells(3, 4) is cells
+    for array in (tables, ends, translations, faces, *cells):
         assert_frozen(array)
 
 
@@ -319,6 +321,17 @@ def test_step_tables_list_left_generator_neighbours(name):
         assert faces.shape == (3, sum(map(len, expected)))
         assert list(zip(*faces.tolist())) == [
             (i, a, j) for i, steps in enumerate(expected) for a, j in steps]
+        # face (i, a, j) of a field with ball(inner) rows compares cell h*a
+        # of row i with cell h of row j, h over ball(inner - 1)
+        for inner in (1, 2):
+            src, dst = geo.step_cells(radius, inner)
+            width = geo.ball_size(inner)
+            hs = geo.ball(inner - 1)
+            assert src.tolist() == [
+                [i * width + geo.position(h * spec.generators[a], inner) for h in hs]
+                for i, a, _ in zip(*faces.tolist())]
+            assert dst.tolist() == [[j * width + k for k in range(len(hs))]
+                                    for j in faces[2].tolist()]
 
 
 @pytest.mark.parametrize("name", sorted(_table_specs()))

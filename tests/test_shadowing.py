@@ -44,6 +44,7 @@ from shadowlab.shadowing import (
     separation_window_pair_scan,
     separation_window_sampled,
     synthesize_window_spec,
+    trace_distances,
     uniqueness_scan,
     verify_trace,
 )
@@ -625,6 +626,48 @@ def test_array_step_check_matches_the_reference_on_broken_fields(group):
                     assert profile[2] > 0
                 layers.add(geo.layer_of_position(pos))
         assert layers == set(range(inner))
+
+
+def _ref_trace_distances(orb, trace, scan_radius):
+    """verify_trace's residuals computed frame by frame: the shifted trace
+    against the entry, compared on their common ball."""
+    ball = orb.space.geometry.ball(scan_radius)
+    return list(trace_distances(shift, distance, ball, trace, orb.entries))
+
+
+@pytest.mark.parametrize("group", sorted(_FLIP_CASES))
+def test_trace_gather_matches_the_frame_loop_on_broken_traces(group):
+    """Traces broken by hand with their first difference in every layer of
+    the field's ball (the first and the last cell of each), against the
+    frame-by-frame shift and distance, at every scan radius."""
+    build, radius, plan, inner = _FLIP_CASES[group]
+    sft = build(ShiftSpace(GroupGeometry(_GROUP_SPECS[group]())))
+    geo = sft.space.geometry
+    cuts = [0] + [geo.ball_size(k) for k in range(radius + 1)]
+    positions = sorted({p for lo, hi in zip(cuts, cuts[1:]) for p in (lo, hi - 1)})
+    for mode in ("exact_orbit", "perturbed_orbit", "random_flip"):
+        orb = generate_pseudo_orbit(sft, radius, plan, Random(3), mode=mode,
+                                    inner_radius=inner)
+        trace = construct_trace(orb)
+        traces = [trace]
+        for pos in positions:
+            cells = list(trace.cells)
+            cells[pos] ^= 1
+            traces.append(Configuration(sft.space, radius, tuple(cells)))
+        layers = set()
+        for scan in range(radius + 1):
+            for t in traces:
+                res = verify_trace(orb, t, plan, scan_radius=scan)
+                dists = [c.dist for c in res.checks]
+                assert dists == _ref_trace_distances(orb, t, scan), (mode, scan)
+                layers.update(d.exponent for d in dists if not d.marker)
+        if mode == "exact_orbit":  # the trace of an exact field: all markers
+            res = verify_trace(orb, trace, plan, scan_radius=radius)
+            assert all(c.dist.marker for c in res.checks)
+        assert layers == set(range(max(radius, 1)))
+    short = Configuration(sft.space, radius - 1, trace.cells[:cuts[radius]])
+    with pytest.raises(ValueError, match="field's ball"):
+        verify_trace(orb, short, plan)
 
 
 def _assert_frozen(array):

@@ -25,6 +25,7 @@ from shadowlab.shifts import (
     distance,
     enumerate_admissible,
     even_window_sft,
+    fill_rows,
     full_shift,
     gather,
     golden_mean_sft,
@@ -622,7 +623,8 @@ def test_one_pass_matches_the_shuffle_reference_at_scale(name, build, radius):
             assert ours.one_pass_fits()
             ref = _RefFill(space, sft, radius, prefix=prefix, rng=Random(seed + 1))
             expected = next(ref.solutions(1), None)
-            assert ours.one_pass() == expected
+            cells = ours.one_pass()
+            assert (None if cells is None else tuple(cells)) == expected
             assert ours.nodes == ref.nodes
             assert ours.rng.getstate() == ref.rng.getstate()
             rng = Random(seed + 1)
@@ -647,7 +649,7 @@ def test_one_pass_matches_the_reference_on_the_tree_batch_ball(free_space):
         ours = _Fill(free_space, sft, 9, rng=Random(seed))
         ref = _RefFill(free_space, sft, 9, rng=Random(seed))
         assert ours.one_pass_fits()
-        assert ours.one_pass() == next(ref.solutions(1))
+        assert tuple(ours.one_pass()) == next(ref.solutions(1))
         assert ours.nodes == ref.nodes
         assert ours.rng.getstate() == ref.rng.getstate()
         # windows rejecting the drawn codes, against the switches made: a
@@ -834,3 +836,129 @@ def test_a_non_binary_prefix_is_refused_not_aliased(line_space):
         assert rng.getstate() == state
     assert list(_RefFill(line_space, golden_mean_sft(line_space), 3,
                          prefix=(0, 2, 0)).solutions()) == []
+
+
+# --- batched fills -------------------------------------------------------------
+# fill_rows checks every head's windows at once and then fills each row with
+# its own _Fill: row for row it must be the lone fill, draw for draw and node
+# for node, and it refuses a failing head before any row draws.
+
+
+def _recording_fills(monkeypatch):
+    """Swap in a fill that records every instance made through the module."""
+    fills = []
+
+    class Recorded(_Fill):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fills.append(self)
+
+    monkeypatch.setattr(shifts, "_Fill", Recorded)
+    return fills
+
+
+def _lone_fill(space, sft, radius, head, seed):
+    """A lone fill's cells (or its failure's type), nodes and RNG state."""
+    fill = _Fill(space, sft, radius, head, Random(seed))
+    try:
+        out = tuple(fill.first_cells())
+    except (GenerationError, CapacityError) as exc:
+        out = type(exc)
+    return out, fill.nodes, fill.rng.getstate()
+
+
+@pytest.mark.parametrize("name", sorted(_FILL_CASES))
+def test_a_batch_fills_each_row_as_its_lone_fill(name, monkeypatch):
+    space = _oracle_spaces()[name]
+    build, radius, _ = _FILL_CASES[name]
+    cut = space.geometry.ball_size(radius - 1)
+    monkeypatch.setattr(shifts, "NODE_BUDGET", 4000)
+    outcomes = set()
+    for sft in build(space):
+        # the inner layers of lone fills, or random cells where none fills
+        heads = [out[:cut] for out, _, _ in
+                 (_lone_fill(space, sft, radius, (), seed) for seed in range(8))
+                 if isinstance(out, tuple)]
+        heads = heads or [tuple(Random(seed).randrange(2) for _ in range(cut))
+                          for seed in range(3)]
+        seeds = range(100, 100 + len(heads))
+        expected = [_lone_fill(space, sft, radius, h, s) for h, s in zip(heads, seeds)]
+        fails = [out for out, _, _ in expected if not isinstance(out, tuple)]
+        fills = _recording_fills(monkeypatch)
+        rngs = list(map(Random, seeds))
+        batch = np.array(heads, dtype=np.uint8)
+        if fails:
+            with pytest.raises(fails[0]):
+                fill_rows(space, sft, radius, batch, rngs)
+        else:
+            rows = fill_rows(space, sft, radius, batch, rngs)
+            assert rows.dtype == np.uint8
+            assert list(map(tuple, rows.tolist())) == [out for out, _, _ in expected]
+        if fills and fills[0].passes is False:
+            # a failing head: its lone fill alone ran, and nothing drew
+            assert [f.nodes for f in fills] == [0]
+            assert [r.getstate() for r in rngs] == [Random(s).getstate() for s in seeds]
+        else:
+            # the row fills ran in order up to the first failure, each
+            # drawing and counting as its lone fill
+            got = [(f.nodes, f.rng.getstate()) for f in fills]
+            assert got == [(nodes, state) for _, nodes, state in expected[:len(got)]]
+        outcomes.update(fails or ["filled"])
+        outcomes.update("one pass" for f in fills if f.one_pass_fits())
+    assert "filled" in outcomes
+    assert ("one pass" in outcomes) == (name in ("free", "heisenberg"))
+
+
+_BAD_HEAD_CASES = [
+    # (space, SFT builder, radius, a good head, the bad heads)
+    ("line", golden_mean_sft, 4, (0, 1, 0), [(1, 1, 0), (0, 2, 0)]),
+    ("plane", hard_square_sft, 3, (1, 0, 0, 0, 0),
+     [(1, 1, 0, 0, 0), (0, 0, 2, 0, 0)]),
+    ("free", one_forbidden_window_sft, 3, (1, 1, 1, 1, 0),
+     [(1, 1, 1, 1, 1), (2, 0, 0, 0, 0)]),
+    ("heisenberg", full_shift, 2, (1, 0, 1, 0, 1), [(0, 0, 0, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize("name, build, radius, good, bad", _BAD_HEAD_CASES)
+def test_a_bad_head_is_refused_before_any_draw(name, build, radius, good, bad):
+    space = _oracle_spaces()[name]
+    sft = build(space)
+    for head in bad:
+        # a lone fill: nothing drawn from the caller's RNG
+        rng = Random(1)
+        state = rng.getstate()
+        with pytest.raises(GenerationError):
+            random_admissible(space, sft, radius, rng, prefix=head)
+        assert rng.getstate() == state
+        # a batch: the bad head last, after heads that would fill
+        rngs = [Random(seed) for seed in range(4)]
+        states = [r.getstate() for r in rngs]
+        heads = np.array([good] * 3 + [head], dtype=np.uint8)
+        with pytest.raises(GenerationError):
+            fill_rows(space, sft, radius, heads, rngs)
+        assert [r.getstate() for r in rngs] == states
+    rows = fill_rows(space, sft, radius, np.array([good] * 2, dtype=np.uint8),
+                     [Random(0), Random(1)])
+    assert [tuple(r[:len(good)]) for r in rows.tolist()] == [good] * 2
+    # a lone prefix may hold symbols that no byte holds
+    for symbol in (-1, 256, 257):
+        rng = Random(1)
+        state = rng.getstate()
+        with pytest.raises(GenerationError):
+            random_admissible(space, sft, radius, rng,
+                              prefix=(symbol,) + good[1:])
+        assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("name", sorted(_FILL_CASES))
+def test_allowed_blocks_match_the_lone_reference_fills(name):
+    space = _oracle_spaces()[name]
+    build, _, enum_radius = _FILL_CASES[name]
+    for sft in build(space):
+        for k, slack in ((enum_radius - 1, 1), (enum_radius - 1, 0)):
+            expected = sorted(
+                base for base in _RefFill(space, sft, k).solutions()
+                if next(_RefFill(space, sft, k + slack, base).solutions(1), None)
+                is not None)
+            assert allowed_blocks(sft, k, slack) == tuple(expected)
