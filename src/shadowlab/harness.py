@@ -11,8 +11,9 @@ import csv as _csv
 from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from functools import cache
 from random import Random
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import ConfigError
 from .groups import (
@@ -224,17 +225,33 @@ CONFIG_SCHEMA = {
 }
 
 
-def validate_config(config: dict) -> None:
-    """Schema-check a config dict; raises ConfigError with a usable message."""
-    import jsonschema
+@cache
+def _validator(experiment: Optional[str]):
+    """The compiled validator of the config schema (``experiment`` None) or
+    of an experiment's parameter schema, built once, on first use, so that
+    importing the package does not load jsonschema.  The schemas are checked
+    against their metaschema by a test, not here."""
+    from jsonschema.validators import validator_for
 
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-        jsonschema.validate(config["parameters"],
-                            _PARAMETER_SCHEMAS[config["experiment"]])
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<top>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from None
+    schema = CONFIG_SCHEMA if experiment is None else _PARAMETER_SCHEMAS[experiment]
+    return validator_for(schema)(schema)
+
+
+def validate_config(config: dict) -> None:
+    """Schema-check a config dict; raises ConfigError with a usable message.
+
+    The error reported is the one ``jsonschema.validate`` would raise: the
+    ``best_match`` of the config's errors, or else of its parameters'.
+    """
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(None).iter_errors(config))
+    if error is None:
+        error = best_match(_validator(config["experiment"]).iter_errors(
+            config["parameters"]))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<top>"
+        raise ConfigError(f"config invalid at {where}: {error.message}")
 
 
 def parameter_schema(experiment: str) -> dict:

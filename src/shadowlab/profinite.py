@@ -30,6 +30,8 @@ from functools import partial
 from random import Random
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import CapacityError, ConfigError, GenerationError
 from .groups import (
     GroupElement,
@@ -412,9 +414,6 @@ class NecklaceShift:
                 return i
         return None
 
-    def all_points(self):
-        return itertools.product((0, 1), repeat=self.width)
-
 
 def _necklace_pseudo_orbit(system: NecklaceShift,
                            dwell: int) -> list[tuple[int, ...]]:
@@ -459,17 +458,23 @@ def necklace_modulus_search(width: int, epsilon_exponent: int,
         gap = system.distance_exponent(system.step(orbit[i]), orbit[i + 1])
         if gap is not None and gap < moduli[-1] + 2:
             raise GenerationError("adversarial field broke its own tolerance")
-    for z in system.all_points():
-        cur = z
-        for target in orbit:
-            gap = system.distance_exponent(cur, target)
-            if gap is not None and gap <= epsilon_exponent:
-                break
-            cur = system.step(cur)
-        else:
-            return ModulusCertificate("necklace-rotation", epsilon_exponent,
-                                      moduli[:1], True, moduli[0],
-                                      f"unexpected tracer {z}")
+    # point p as the int whose bit width-1-i holds coordinate i: product
+    # order is numeric order, a step is a left rotation, and p agrees with
+    # t on coordinates 0..epsilon_exponent when (p ^ t) & top == 0; one
+    # pass over every point per target keeps the points still tracing
+    full = (1 << width) - 1
+    top = full ^ ((1 << (width - 1 - epsilon_exponent)) - 1)
+    cur = np.arange(1 << width, dtype=np.uint32)
+    alive = np.ones(1 << width, dtype=bool)
+    for target in orbit:
+        alive &= ((cur ^ int("".join(map(str, target)), 2)) & top) == 0
+        cur = ((cur << 1) | (cur >> (width - 1))) & full
+    if alive.any():
+        z = int(alive.argmax())
+        tracer = tuple((z >> (width - 1 - i)) & 1 for i in range(width))
+        return ModulusCertificate("necklace-rotation", epsilon_exponent,
+                                  moduli[:1], True, moduli[0],
+                                  f"unexpected tracer {tracer}")
     return ModulusCertificate("necklace-rotation", epsilon_exponent,
                               moduli, False, None,
                               "every admissible step tolerance admits an "

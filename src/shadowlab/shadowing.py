@@ -19,13 +19,14 @@ Radius bookkeeping, fixed once and used throughout:
     min(R - |g|, R_in); a definite mismatch at or above epsilon refutes,
     a truncation marker never does.
 
-The trace comparison is written once, for any action ``act(g, x)`` and
-metric ``distance(x, y)``: shift fields use ``shift`` and the common-ball
-``distance``, quotient chains their levelwise action and ``level_distance``.
-So is the generic step check, ``step_distances``, which quotient chains use;
-a shift field checks its step faces on its cell array instead, with one
-gather of every face's cells (``PseudoOrbit.step_profile``), and its trace
-with one gather per comparison radius (``verify_trace``).
+The generic trace comparison, ``trace_distances``, is written once for
+any action ``act(g, x)`` and metric ``distance(x, y)``, and so is the
+generic step check, ``step_distances``; quotient chains use both, with
+their levelwise action and ``level_distance``.  A shift field works on its
+cell array instead: one gather of every face's cells checks its steps
+(``PseudoOrbit.step_profile``), and one gather per comparison radius
+checks a trace (``verify_trace``) or a block of uniqueness candidates
+(``uniqueness_scan``).
 """
 
 from __future__ import annotations
@@ -47,16 +48,16 @@ from .shifts import (
     SftSpec,
     ShiftSpace,
     allowed_blocks,
-    distance,
     enumerate_admissible,
     fill_rows,
     locally_admissible,
     random_admissible,
     refutes,
-    shift,
 )
 
 PASSER_SAMPLES = 8
+# candidates a uniqueness scan compares at once, which bounds its memory
+CANDIDATE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -334,30 +335,56 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
     question the tolerance can answer; passers are counted both outright and
     by their restriction to ball(min(m, R)); the first ``PASSER_SAMPLES``
     passers are reported.
+
+    Candidates are read in enumeration order, ``CANDIDATE_BLOCK`` at a time,
+    as the rows of one uint8 array.  Frame g compares g . y with the entry
+    at g on ball(c), c = min(R - |g|, inner radius, cap), as
+    ``verify_trace`` does: one gather through ``translation_array(c, R)``
+    per comparison radius, and each frame's first differing position.  A
+    frame with none is a marker and never refutes; otherwise a table of
+    ``refutes`` over the positions of ball(c) decides it.
     """
     if not 2 * plan.epsilon < eta:
         return UniquenessReport(False, eta, 0, 0, 0, 0, 0, ())
     space = orbit.space
     geo = space.geometry
+    radius = orbit.radius
     if scan_radius is None:
-        scan_radius = max(orbit.radius - plan.modulus, 0)
-    if scan_radius > orbit.radius:
+        scan_radius = max(radius - plan.modulus, 0)
+    if scan_radius > radius:
         raise ValueError("scan radius cannot exceed the field radius")
     cap = comparison_cap if comparison_cap is not None else plan.modulus
-    ball = geo.ball(scan_radius)
-    # on the common ball, capping the targets caps every comparison
-    targets = [x.restrict(min(orbit.inner_radius, cap)) for x in orbit.entries]
-    core_size = geo.ball_size(min(plan.modulus, orbit.radius))
+    lengths = map(geo.layer_of_position, range(geo.ball_size(scan_radius)))
+    radii = []  # (moves, targets, refuting) per comparison radius
+    lo = 0
+    for c, frames in itertools.groupby(
+            lengths, lambda length: min(radius - length, orbit.inner_radius, cap)):
+        hi = lo + len(list(frames))
+        n = geo.ball_size(c)
+        # the last entry is a frame with no difference, a marker
+        refuting = np.array([refutes(DyadicDistance(max(
+            geo.layer_of_position(p) - 1, 0)), plan.epsilon) for p in range(n)]
+            + [False])
+        radii.append((geo.translation_array(c, radius)[lo:hi],
+                      orbit.cells[lo:hi, :n], refuting))
+        lo = hi
+    core_size = geo.ball_size(min(plan.modulus, radius))
+    candidates = enumerate_admissible(space, orbit.sft, radius)
     passers = []
     scanned = 0
-    for cells in enumerate_admissible(space, orbit.sft, orbit.radius):
-        scanned += 1
-        y = Configuration(space, orbit.radius, cells)
-        if not any(refutes(d, plan.epsilon)
-                   for d in trace_distances(shift, distance, ball, y, targets)):
-            passers.append(y)
-    cores = {y.cells[:core_size] for y in passers}
-    samples = tuple(y.serialize() for y in passers[:PASSER_SAMPLES])
+    while block := list(itertools.islice(candidates, CANDIDATE_BLOCK)):
+        scanned += len(block)
+        ys = np.array(block, dtype=np.uint8)
+        alive = np.ones(len(block), dtype=bool)
+        for moves, targets, refuting in radii:
+            differ = ys[:, moves] != targets
+            n = targets.shape[1]
+            firsts = np.where(differ.any(axis=2), differ.argmax(axis=2), n)
+            alive &= ~refuting[firsts].any(axis=1)
+        passers.extend(ys[alive].tolist())
+    cores = {tuple(y[:core_size]) for y in passers}
+    samples = tuple(Configuration(space, radius, tuple(y)).serialize()
+                    for y in passers[:PASSER_SAMPLES])
     return UniquenessReport(True, eta, scan_radius, cap, scanned,
                             len(passers), len(cores), samples)
 

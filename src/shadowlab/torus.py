@@ -414,13 +414,30 @@ class StabilityReport:
     identity_exact: Optional[bool]
 
 
-def _segment_around(pmap: PerturbedMap, pts: np.ndarray, window: int) -> np.ndarray:
-    seg = np.zeros((2 * window + 1,) + pts.shape)
-    seg[window] = fwd = bwd = pts
+def _forward_orbit(pmap: PerturbedMap, pts: np.ndarray,
+                   steps: int) -> list[np.ndarray]:
+    """pts and its first ``steps`` perturbed images, as ``forward`` returns
+    them."""
+    orbit = [pts]
+    for _ in range(steps):
+        orbit.append(pmap.forward(orbit[-1]))
+    return orbit
+
+
+def _conjugacy(A: IntMatrix, pmap: PerturbedMap, splitting: SpectralSplitting,
+               forward: list[np.ndarray], window: int) -> tuple[np.ndarray, float]:
+    """``conjugacy_points`` at forward[0], given its forward orbit
+    ``forward`` (window + 1 arrays): the segment's forward half is that
+    orbit, and its backward half is iterated here."""
+    seg = np.zeros((2 * window + 1,) + forward[0].shape)
+    seg[window:] = forward
+    bwd = forward[0]
     for i in range(1, window + 1):
-        fwd, bwd = pmap.forward(fwd), pmap.backward(bwd)
-        seg[window + i], seg[window - i] = fwd, bwd
-    return seg
+        bwd = pmap.backward(bwd)
+        seg[window - i] = bwd
+    fixed = correct_segment(A, splitting, seg,
+                            error_bound=pmap.displacement.amplitude)
+    return fixed[window] % 1.0, segment_orbit_residual(A, fixed)
 
 
 def conjugacy_points(A: IntMatrix, pmap: PerturbedMap,
@@ -431,10 +448,8 @@ def conjugacy_points(A: IntMatrix, pmap: PerturbedMap,
     Returns the mapped points and the worst exact-orbit residual of the
     corrected segments (a pure roundoff figure when the scheme is healthy).
     """
-    seg = _segment_around(pmap, pts, window)
-    fixed = correct_segment(A, splitting, seg,
-                            error_bound=pmap.displacement.amplitude)
-    return fixed[window] % 1.0, segment_orbit_residual(A, fixed)
+    return _conjugacy(A, pmap, splitting, _forward_orbit(pmap, pts, window),
+                      window)
 
 
 def random_grid(dimension: int, count: int, rng: Random) -> np.ndarray:
@@ -479,9 +494,11 @@ def stability_report(A: IntMatrix, displacement: FourierDisplacement,
     """
     pmap = PerturbedMap(A, displacement)
     splitting = spectral_splitting(A)
-    h_pts, residual = conjugacy_points(A, pmap, splitting, pts, window)
-    fwd = pmap.forward(pts)
-    h_fwd, residual2 = conjugacy_points(A, pmap, splitting, fwd, window)
+    # the segment around forward(pts) shares the forward orbit of pts, one
+    # step on, so that orbit is computed once for both
+    forward = _forward_orbit(pmap, pts, window + 1)
+    h_pts, residual = _conjugacy(A, pmap, splitting, forward[:-1], window)
+    h_fwd, residual2 = _conjugacy(A, pmap, splitting, forward[1:], window)
     An = np.array(A, dtype=float)
     defect = float(np.max(torus_distance(h_fwd, (h_pts @ An.T) % 1.0))) \
         if pts.shape[0] else 0.0

@@ -1,7 +1,9 @@
 """Config validation, report determinism, and the CLI contract."""
 
+import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -74,6 +76,130 @@ def test_parameter_schema_lookup():
         assert schema["additionalProperties"] is False
     with pytest.raises(ConfigError):
         parameter_schema("nope")
+
+
+def test_every_config_schema_is_a_valid_schema():
+    """The compiled validators never check their schemas, so this does."""
+    from jsonschema.exceptions import SchemaError
+    from jsonschema.validators import validator_for
+
+    assert set(harness._PARAMETER_SCHEMAS) == set(EXPERIMENTS)
+    for schema in (harness.CONFIG_SCHEMA, *harness._PARAMETER_SCHEMAS.values()):
+        validator_for(schema).check_schema(schema)
+    broken = {"type": "object", "properties": {"n": {"minimum": "0"}}}
+    with pytest.raises(SchemaError):
+        validator_for(broken).check_schema(broken)
+
+
+def _oracle_error(config):
+    """validate_config's message as two ``jsonschema.validate`` calls give
+    it, or None for a valid config."""
+    import jsonschema
+
+    try:
+        jsonschema.validate(config, harness.CONFIG_SCHEMA)
+        jsonschema.validate(config["parameters"],
+                            parameter_schema(config["experiment"]))
+    except jsonschema.ValidationError as exc:
+        where = "/".join(str(p) for p in exc.absolute_path) or "<top>"
+        return f"config invalid at {where}: {exc.message}"
+    return None
+
+
+def _valid_configs():
+    """Every README config and every golden config."""
+    import importlib.util
+
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```json\n(.*?)```", (root / "README.md").read_text(),
+                        re.S)
+    readme = [json.loads(b) for b in blocks if "..." not in b]
+    spec = importlib.util.spec_from_file_location(
+        "golden_configs", Path(__file__).with_name("test_golden.py"))
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return readme + [config for config, _ in golden.GOLDEN.values()]
+
+
+_WRONG_TYPES = (None, True, "x", 1.5, -3, [], {})
+
+
+def _variants(value, schema):
+    """Values to put in place of ``value``, which ``schema`` checks: wrong
+    types, values out of range or outside an enum, and, inside an object or
+    an array, each member's variants, a required key dropped and an
+    unknown key added."""
+    yield from _WRONG_TYPES
+    if "minimum" in schema:
+        yield schema["minimum"] - 1
+    if "maximum" in schema:
+        yield schema["maximum"] + 1
+    if "exclusiveMinimum" in schema:
+        yield schema["exclusiveMinimum"]
+    if "enum" in schema:
+        yield "not-a-member"
+        yield from (v for v in schema["enum"] if v != value)
+    if isinstance(value, list) and value:
+        yield value[:schema.get("minItems", 1) - 1]
+        yield value + value[:1]
+        for v in _variants(value[0], schema.get("items", {})):
+            yield [v, *value[1:]]
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            yield {k: v for k, v in value.items() if k != key}
+        yield {**value, "unknown_key": 1}
+        for key, member in value.items():
+            for v in _variants(member, schema.get("properties", {}).get(key, {})):
+                yield {**value, key: v}
+
+
+def _two_faults(value, schema):
+    """``value`` with two of its members faulted at once, here and in every
+    nested object: each by None (a wrong type at its own depth) or by the
+    last, innermost of its variants, so that the errors can lie at one
+    depth or at two and ``best_match`` has to choose between them."""
+    members = schema.get("properties", {})
+    faults = {key: (None, list(_variants(member, members.get(key, {})))[-1])
+              for key, member in value.items()}
+    for a, b in itertools.combinations(faults, 2):
+        for fa, fb in itertools.product(faults[a], faults[b]):
+            yield {**value, a: fa, b: fb}
+    for key, member in value.items():
+        if isinstance(member, dict):
+            for faulted in _two_faults(member, members.get(key, {})):
+                yield {**value, key: faulted}
+
+
+def test_compiled_validators_give_the_jsonschema_validate_messages(monkeypatch):
+    """Over more than a thousand mutated README and golden configs, each
+    ConfigError text (or its absence) equals the one two
+    ``jsonschema.validate`` calls give."""
+    from jsonschema.validators import validator_for
+
+    # the schemas are checked in their own test; checking them again on each
+    # of the oracle's calls only makes the oracle slow
+    monkeypatch.setattr(validator_for(harness.CONFIG_SCHEMA), "check_schema",
+                        classmethod(lambda cls, schema: None))
+    checked = faults = 0
+    for config in _valid_configs():
+        validate_config(config)
+        params = harness.CONFIG_SCHEMA["properties"]
+        schema = {**harness.CONFIG_SCHEMA, "properties": {
+            **params, "parameters": parameter_schema(config["experiment"])}}
+        for mutated in itertools.chain(_variants(config, schema),
+                                       _two_faults(config, schema)):
+            if not isinstance(mutated, dict):
+                continue
+            want = _oracle_error(mutated)
+            try:
+                validate_config(mutated)
+                got = None
+            except ConfigError as exc:
+                got = str(exc)
+            assert got == want, mutated
+            checked += 1
+            faults += want is not None
+    assert faults >= 1000, (checked, faults)
 
 
 def test_jsonable_rendering():

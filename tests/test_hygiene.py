@@ -17,7 +17,8 @@ fails.  The knob check reads the same sources: every defaulted parameter
 of a top-level function or a method under ``src/`` must be passed, by
 position or by keyword, in some call under ``src/`` or ``perfbench/`` to
 a function, method or class of that name, so a knob that only tests set
-fails.
+fails.  A tracer's ``t.call(name, fn, ...)`` or ``t.timed(name, fn, ...)``
+counts as a call of ``fn`` with the arguments that follow it.
 
 The export check reads ``src/shadowlab/__init__.py``: every name it
 imports must be used from the top level somewhere in ``tests/``,
@@ -118,21 +119,34 @@ def _defaulted(tree):
                 yield qualified, called, arg.arg, None
 
 
+def _callee(node):
+    """The name a call expression's function goes by, or None."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return getattr(node, "id", None) or node.attr
+    return None
+
+
 def _unpassed_defaults(sources, checked):
     """``label: name(parameter)`` of each defaulted parameter in the
     ``checked`` sources that no call in ``sources`` passes; a ``*`` or
-    ``**`` argument counts as passing every parameter it could fill."""
+    ``**`` argument counts as passing every parameter it could fill.  A
+    tracer's ``t.call(name, fn, *args, **kwargs)`` or ``t.timed(...)``
+    also counts as a call of ``fn`` with the arguments after ``fn``."""
     trees = {label: ast.parse(code) for label, code in sources.items()}
     calls = {}
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, (ast.Name, ast.Attribute)):
-                name = getattr(node.func, "id", None) or node.func.attr
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                calls.setdefault(name, []).append(
-                    (float("inf") if starred else len(node.args),
-                     {k.arg for k in node.keywords}))
+            if not isinstance(node, ast.Call) or _callee(node.func) is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positional = float("inf") if starred else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(_callee(node.func), []).append((positional, keywords))
+            if isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("call", "timed") and len(node.args) >= 2 \
+                    and _callee(node.args[1]) is not None:
+                calls.setdefault(_callee(node.args[1]), []).append(
+                    (positional - 2, keywords))
     return [f"{label}: {qualified}({param})" for label in checked
             for qualified, called, param, index in _defaulted(trees[label])
             if not any(param in keywords or None in keywords
@@ -240,6 +254,14 @@ def test_the_checks_see_what_they_should():
     probe["b.py"] = probe["b.py"].replace("f(*[1], **{})", "f(*[1])")
     assert _unpassed_defaults(probe, ["a.py"]) == [
         "a.py: f(z)", "a.py: Box.__init__(knob)", "a.py: Box.read(scale)"]
+    probe = {"a.py": "def g(x, y=1, z=2, *, k=0, w=1):\n    return x\n\n"
+                     "def h(x, y=1):\n    return x\n\n"
+                     "def fill(x, prefix=None):\n    return x\n",
+             "b.py": "from a import g, h, fill\n\n"
+                     "t.call('s.g', g, 1, 2, k=3)\nt.timed('s.g', g, 1, w=2)\n"
+                     "t.call('s.h', h, 1)\nt.count('s.h', h, 1, 2)\n"
+                     "t.call('s.fill', mod.fill, 1, prefix=0)\n"}
+    assert _unpassed_defaults(probe, ["a.py"]) == ["a.py: g(z)", "a.py: h(y)"]
     init = ("from .a import (one, two,\n    three)\nfrom .b import four, five\n"
             "__version__ = '1'\n")
     text = ("import shadowlab\nshadowlab.one()\n"

@@ -1,11 +1,13 @@
 """Quotient chains, levelwise actions, and the rotation non-example."""
 
+import itertools
 from fractions import Fraction
 from functools import partial
 from random import Random
 
 import pytest
 
+from shadowlab import profinite
 from shadowlab.errors import ConfigError
 from shadowlab.groups import (
     GroupElement,
@@ -215,7 +217,7 @@ def test_necklace_rotation_and_metric():
     assert neck.distance_exponent(x, x) is None
     assert neck.distance_exponent(x, (1, 1, 1, 0, 0, 0)) == 0
     assert neck.distance_exponent(x, (0, 1, 1, 0, 1, 0)) == 4
-    assert len(list(neck.all_points())) == 64
+    assert neck.step(x) == (1, 1, 0, 0, 0, 0)  # the bit search's left rotation
 
 
 def test_necklace_defeats_every_modulus():
@@ -230,8 +232,9 @@ def test_necklace_search_needs_room():
         necklace_modulus_search(8, 7)
 
 
-def _ref_necklace_search(width, epsilon_exponent, max_modulus=None):
-    """The search as a rebuild and rescan of the field for every modulus."""
+def _ref_necklace_search(width, epsilon_exponent, max_modulus=None, field=None):
+    """The search as a rebuild and rescan of the field for every modulus,
+    point by point on tuples; ``field`` replaces the adversarial field."""
     system = NecklaceShift(width)
     if max_modulus is None:
         max_modulus = width - 3
@@ -248,11 +251,13 @@ def _ref_necklace_search(width, epsilon_exponent, max_modulus=None):
         for _ in range(width):
             orbit.append(cur)
             cur = system.step(cur)
+        if field is not None:
+            orbit = field
         for i in range(len(orbit) - 1):
             gap = system.distance_exponent(system.step(orbit[i]), orbit[i + 1])
             assert gap is None or gap >= agree_prefix
         tested.append(m)
-        for z in system.all_points():
+        for z in itertools.product((0, 1), repeat=width):
             cur = z
             traced = True
             for target in orbit:
@@ -300,3 +305,33 @@ def test_necklace_search_refuses_when_no_modulus_fits(
     assert str(info.value) == (
         f"no step modulus to test: epsilon_exponent {epsilon_exponent} "
         f"exceeds max_modulus {shown} or width {width} - 3")
+
+
+@pytest.mark.parametrize("width", range(3, 15))
+def test_necklace_bit_search_matches_the_tuple_search(width):
+    for epsilon_exponent in range(width - 1):
+        args = (width, epsilon_exponent)
+        ref = _outcome(_ref_necklace_search, *args)
+        got = _outcome(necklace_modulus_search, *args)
+        if isinstance(ref, ModulusCertificate) and not ref.tested_moduli:
+            assert got is ConfigError, args
+        else:
+            assert got == ref, args
+
+
+@pytest.mark.parametrize("width, epsilon_exponent, start", [
+    (6, 1, (0, 1, 1, 0, 1, 0)), (9, 3, (1, 0, 0, 1, 0, 1, 1, 0, 1)),
+    (12, 5, (0,) * 11 + (1,)), (12, 0, (1,) * 12)])
+def test_a_planted_necklace_tracer_is_reported_as_the_tuple_search_reports_it(
+        monkeypatch, width, epsilon_exponent, start):
+    """An exact orbit in place of the adversarial field is traced, and the
+    bit search names the same first tracer as the tuple search."""
+    system = NecklaceShift(width)
+    field = [start]
+    while len(field) < 2 * width + 2:
+        field.append(system.step(field[-1]))
+    monkeypatch.setattr(profinite, "_necklace_pseudo_orbit",
+                        lambda system, dwell: field)
+    got = necklace_modulus_search(width, epsilon_exponent)
+    assert got.found and got.detail.startswith("unexpected tracer (")
+    assert got == _ref_necklace_search(width, epsilon_exponent, field=field)

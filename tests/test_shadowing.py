@@ -1,5 +1,6 @@
 """Pseudo-orbit fields, tracing, uniqueness, separation windows."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -328,6 +329,75 @@ def test_common_ball_comparisons_match_the_restricted_definitions(line_space,
                                   comparison_cap=cap)
             assert list(rep.passer_samples) == _ref_passers(orb, plan,
                                                             scan_radius, cap)
+
+
+def _ref_report(orb, plan, eta, scan_radius, cap):
+    """The uniqueness report built from ``_ref_passers``: every candidate
+    counted, passers and their cores on ball(min(m, R)) counted, and the
+    first ``PASSER_SAMPLES`` passers sampled."""
+    passers = _ref_passers(orb, plan, scan_radius, cap)
+    core = orb.space.geometry.ball_size(min(plan.modulus, orb.radius))
+    scanned = sum(1 for _ in enumerate_admissible(orb.space, orb.sft, orb.radius))
+    return shadowing.UniquenessReport(
+        True, eta, scan_radius, cap, scanned, len(passers),
+        len({p.split(";")[1][:core] for p in passers}),
+        tuple(passers[:shadowing.PASSER_SAMPLES]))
+
+
+_UNIQUENESS_CASES = {
+    # group: (SFT, field radius, inner radius, plans)
+    "plane": (hard_square_sft, 2, 5,
+              (potp_modulus(1, Fraction(1, 4)),
+               TracingPlan(1, Fraction(1, 2), 1, Fraction(1, 4)))),
+    "free": (one_forbidden_window_sft, 1, 5,
+             (potp_modulus(1, Fraction(1, 4)),
+              TracingPlan(1, Fraction(1, 2), 0, Fraction(1, 2)))),
+}
+
+
+@pytest.mark.parametrize("group", sorted(_UNIQUENESS_CASES))
+def test_uniqueness_scan_matches_the_reference_on_small_balls(group,
+                                                              monkeypatch):
+    """Hard-square balls on the plane and one-forbidden-window balls on F2,
+    in candidate blocks of several sizes: each report equals the
+    frame-by-frame reference, with every passer sampled and with the
+    default samples."""
+    build, radius, inner, plans = _UNIQUENESS_CASES[group]
+    space = ShiftSpace(GroupGeometry(_GROUP_SPECS[group]()))
+    sft = build(space)
+    multiplicities = set()
+    for plan in plans:
+        eta = 2 * plan.epsilon + Fraction(1, 8)
+        for mode in ("exact_orbit", "perturbed_orbit", "random_flip"):
+            orb = generate_pseudo_orbit(sft, radius, plan, Random(4), mode=mode,
+                                        inner_radius=inner)
+            for scan_radius in range(radius + 1):
+                for cap in (0, 1, 2, 3):
+                    monkeypatch.setattr(shadowing, "PASSER_SAMPLES", 10 ** 6)
+                    ref = _ref_report(orb, plan, eta, scan_radius, cap)
+                    for block in (1024, 50, 7):
+                        monkeypatch.setattr(shadowing, "CANDIDATE_BLOCK", block)
+                        assert uniqueness_scan(orb, plan, eta, scan_radius,
+                                               cap) == ref
+                    monkeypatch.setattr(shadowing, "PASSER_SAMPLES", 8)
+                    assert uniqueness_scan(orb, plan, eta, scan_radius, cap) \
+                        == replace(ref, passer_samples=ref.passer_samples[:8])
+                    multiplicities.add(ref.multiplicity)
+                    assert ref.multiplicity_within_core <= ref.multiplicity
+    assert max(multiplicities) > 1  # some scans leave several passers
+
+
+def test_uniqueness_scan_spans_several_candidate_blocks(line_space):
+    """8,192 full-shift candidates on the line, eight default blocks, with
+    comparison radii up to 5, where the deep layers no longer refute."""
+    plan = potp_modulus(0, Fraction(1, 4))
+    orb = generate_pseudo_orbit(full_shift(line_space), 6, plan, Random(8),
+                                mode="random_flip", inner_radius=5)
+    assert 8192 > 4 * shadowing.CANDIDATE_BLOCK
+    for scan_radius, cap in ((0, 5), (1, 4), (2, 5), (6, 2)):
+        rep = uniqueness_scan(orb, plan, Fraction(1), scan_radius, cap)
+        assert rep.candidates_scanned == 8192
+        assert rep == _ref_report(orb, plan, Fraction(1), scan_radius, cap)
 
 
 # Reference window routines: the literal definitions, read straight off
