@@ -40,7 +40,6 @@ from .shadowing import (
     separation_window_exhaustive_check,
     separation_window_flip_scan,
     separation_window_pair_scan,
-    separation_window_sampled,
     synthesize_window_spec,
     admissible_sets_agree,
     uniqueness_scan,
@@ -141,9 +140,8 @@ _PARAMETER_SCHEMAS = {
             "epsilon_exponent": {"type": "integer", "minimum": 1, "maximum": 20},
             "test_radius": {"type": "integer", "minimum": 1, "maximum": 24},
             "max_window": {"type": "integer", "minimum": 0, "maximum": 24},
-            "method": {"enum": ["flip", "exhaustive", "pairs", "sampled"]},
+            "method": {"enum": ["flip", "exhaustive", "pairs"]},
             "sft": {"enum": _SFT_ENUM},
-            "samples": {"type": "integer", "minimum": 1, "maximum": 100000},
         },
     },
     "toral-stability": {
@@ -391,23 +389,17 @@ def _run_expansiveness_window(params: dict, rng: Random, output: dict):
     if method in ("flip", "exhaustive") and sft_name != "full-shift":
         # both read disagreement sets of the full shift and ignore any sft
         raise ConfigError(f"method {method} is complete only on the full shift, "
-                          f"not sft {sft_name}; use pairs or sampled")
+                          f"not sft {sft_name}; use pairs")
     space = _space(params["group"])
     if method in ("flip", "exhaustive"):
         scan = separation_window_flip_scan(space, eta, epsilon,
                                            params["test_radius"],
                                            params["max_window"])
-    elif method == "pairs":
+    else:
         sft = _SFT_BUILDERS[sft_name](space)
         scan = separation_window_pair_scan(space, sft, eta, epsilon,
                                            params["test_radius"],
                                            params["max_window"])
-    else:
-        sft = _SFT_BUILDERS[sft_name](space)
-        scan = separation_window_sampled(space, sft, eta, epsilon,
-                                         params["test_radius"],
-                                         params["max_window"],
-                                         params.get("samples", 500), rng)
     results = {
         "method": scan.method,
         "window": scan.window,

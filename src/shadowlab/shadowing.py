@@ -32,9 +32,10 @@ checks a trace (``verify_trace``) or a block of uniqueness candidates
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -51,7 +52,6 @@ from .shifts import (
     enumerate_admissible,
     fill_rows,
     locally_admissible,
-    random_admissible,
     refutes,
 )
 
@@ -422,6 +422,9 @@ def _window_table(space: ShiftSpace, eta: Fraction, epsilon: Fraction,
     order, up to the deepest failing layer: callers only ask which frame
     first meets a D whose lowest position p fails, and for eta < 1 frame p
     does (h the identity) unless every frame is shallower than p anyway.
+    The frames' layers never fall, so the first frame meeting D lies in the
+    least layer k whose union U_k of the masks of layers up to k meets D;
+    the pair scan reads those unions.
     """
     geo = space.geometry
 
@@ -443,15 +446,6 @@ def _window_table(space: ShiftSpace, eta: Fraction, epsilon: Fraction,
     return (1 << geo.ball_size(fail_layer)) - 1, frames
 
 
-def _separating_layer(frames: list[tuple[int, int]],
-                      disagree: int) -> Optional[int]:
-    return next((lg for lg, mask in frames if mask & disagree), None)
-
-
-def _disagreement(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return sum(1 << i for i, (u, v) in enumerate(zip(x, y)) if u != v)
-
-
 def separation_window_flip_scan(space: ShiftSpace, eta: Fraction,
                                 epsilon: Fraction, test_radius: int,
                                 max_window: int) -> WindowScanResult:
@@ -468,7 +462,7 @@ def separation_window_flip_scan(space: ShiftSpace, eta: Fraction,
     witness = "all flip positions covered"
     for p in range(fails.bit_length()):
         lp = geo.layer_of_position(p)
-        cover = _separating_layer(frames, 1 << p)
+        cover = next((lg for lg, mask in frames if mask >> p & 1), None)
         if cover is None:
             return WindowScanResult(eta, epsilon, test_radius, "flip-scan",
                                     None, n, f"uncovered flip at layer {lp}")
@@ -482,29 +476,79 @@ def separation_window_flip_scan(space: ShiftSpace, eta: Fraction,
 def separation_window_pair_scan(space: ShiftSpace, sft: SftSpec, eta: Fraction,
                                 epsilon: Fraction, test_radius: int,
                                 max_window: int) -> WindowScanResult:
-    """Literal all-pairs window search; exact but exponential in the ball size."""
-    configs = list(enumerate_admissible(space, sft, test_radius))
+    """Exact window search on an SFT: one sort of its admissible
+    configurations per frame layer instead of a pass over every pair.
+
+    By ``_window_table``, a pair counts when the lowest position p of its
+    disagreement set D fails, and it is first separated at the least layer
+    k whose union U_k of frame masks meets D.  So the window is the largest,
+    over the failing p, of the least k at which no two configurations agree
+    below p and on U_k yet differ at p; None when two still do at the
+    deepest layer.  Sorted with the columns of U_k first and the others in
+    ball order (``_layer_sort``), rows agreeing below p and on U_k are
+    consecutive and ordered next by cell p, so two of them differ at p
+    exactly when two neighbours differ first at p.  ``scanned`` counts the
+    configurations, and the witness names the binding p, its window and the
+    first pair, in enumeration order, that needs it (``_first_pair``).
+    """
+    geo = space.geometry
+    rows = np.frombuffer(b"".join(map(bytes, enumerate_admissible(
+        space, sft, test_radius))), np.uint8).reshape(-1, geo.ball_size(test_radius))
     fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
-    needed = 0
-    pairs = 0
-    witness = "no separating pair needed more"
-    for i in range(len(configs)):
-        for j in range(i + 1, len(configs)):
-            pairs += 1
-            d = _disagreement(configs[i], configs[j])
-            if not fails & d & -d:
-                continue
-            first = _separating_layer(frames, d)
-            if first is None:
-                return WindowScanResult(eta, epsilon, test_radius, "pair-scan",
-                                        None, pairs,
-                                        f"pair {i},{j} agrees within eta "
-                                        f"through ball({max_window})")
-            if first > needed:
-                needed = first
-                witness = f"binding pair {i},{j} separated at layer {first}"
+    masks = [0] * (frames[-1][0] + 1 if frames else 0)
+    for lg, mask in frames:
+        masks[lg] |= mask
+    open_ = np.arange(fails.bit_length())  # failing p not yet separated
+    needed, binding, sorts = 0, None, []
+    for union in itertools.accumulate(masks, operator.or_):
+        if not open_.size:
+            break
+        order, _, first = sort = _layer_sort(rows, union)
+        mixed = np.isin(open_, order[first[first >= union.bit_count()]])
+        if sorts and not mixed.all():  # the least p first separated here
+            needed, binding = len(sorts), int(open_[~mixed][0])
+        sorts.append(sort)
+        open_ = open_[mixed]
+    if open_.size:
+        return WindowScanResult(
+            eta, epsilon, test_radius, "pair-scan", None, len(rows),
+            f"{_first_pair(rows, sorts[-1], int(open_[0]), geo)} and agrees "
+            f"within eta through ball({max_window})")
+    witness = "no separating pair needed more" if binding is None else (
+        f"binding {_first_pair(rows, sorts[needed - 1], binding, geo)}, "
+        f"separated at layer {needed}")
     return WindowScanResult(eta, epsilon, test_radius, "pair-scan", needed,
-                            pairs, witness)
+                            len(rows), witness)
+
+
+def _layer_sort(rows: np.ndarray, union: int):
+    """The rows sorted lexicographically with the columns of ``union``
+    first and the others after them in ball order: that column order, the
+    sorted row indices, and per neighbouring pair the index in the column
+    order of their first differing column."""
+    order = np.argsort([not union >> p & 1 for p in range(rows.shape[1])],
+                       kind="stable")
+    keyed = rows[:, order]
+    index = np.lexsort(np.packbits(keyed, axis=1).T[::-1])
+    keyed = keyed[index]
+    return order, index, (keyed[1:] != keyed[:-1]).argmax(axis=1)
+
+
+def _first_pair(rows: np.ndarray, sort, p: int, geo) -> str:
+    """The first two rows, in row order, to meet in a group of rows that
+    agree on every column before p in the ``_layer_sort`` order ``sort``
+    and holds both values at p: the row completing the earliest such group
+    and the group's first row.  A group is a run of sorted neighbours."""
+    order, index, first = sort
+    group = np.empty(len(rows), dtype=np.intp)
+    group[index] = np.cumsum(np.concatenate(
+        ([0], first < np.flatnonzero(order == p)[0])))
+    firsts = np.full((len(rows), 2), len(rows))
+    np.minimum.at(firsts, (group, rows[:, p]), np.arange(len(rows)))
+    firsts.sort(axis=1)
+    i, j = firsts[firsts[:, 1].argmin()].tolist()
+    return f"pair {i},{j} differs first at position {p} (layer " \
+           f"{geo.layer_of_position(p)})"
 
 
 @dataclass(frozen=True)
@@ -541,10 +585,7 @@ def separation_window_exhaustive_check(space: ShiftSpace, eta: Fraction,
         raise CapacityError(f"{n} positions means {2 ** n - 1} disagreement "
                             "subsets; refusing beyond 22")
     fails, frames = _window_table(space, eta, epsilon, test_radius, window)
-    covered = 0
-    for _, mask in frames:
-        covered |= mask
-    refuting = fails & ~covered
+    refuting = fails & ~reduce(operator.or_, (mask for _, mask in frames), 0)
     if refuting:
         p = (refuting & -refuting).bit_length() - 1
         return WindowCheckResult(eta, epsilon, window, test_radius, 2 ** p,
@@ -553,37 +594,6 @@ def separation_window_exhaustive_check(space: ShiftSpace, eta: Fraction,
     return WindowCheckResult(eta, epsilon, window, test_radius, 2 ** n - 1,
                              True, "every epsilon-separated pair is pushed "
                              f"past eta inside ball({window})")
-
-
-def separation_window_sampled(space: ShiftSpace, sft: SftSpec, eta: Fraction,
-                              epsilon: Fraction, test_radius: int,
-                              max_window: int, samples: int,
-                              rng: Random) -> WindowScanResult:
-    """Randomized evidence for constrained spaces: samples admissible pairs.
-
-    The result is a lower bound on the window, never a proof.
-    """
-    fails, frames = _window_table(space, eta, epsilon, test_radius, max_window)
-    needed = 0
-    scanned = 0
-    witness = "no sampled pair forced a larger window"
-    for _ in range(samples):
-        x = random_admissible(space, sft, test_radius, rng)
-        y = random_admissible(space, sft, test_radius, rng)
-        d = _disagreement(x.cells, y.cells)
-        if not fails & d & -d:
-            continue
-        scanned += 1
-        first = _separating_layer(frames, d)
-        if first is None:
-            return WindowScanResult(eta, epsilon, test_radius, "sampled-pairs",
-                                    None, scanned, "sampled pair stayed within "
-                                    f"eta through ball({max_window})")
-        if first > needed:
-            needed = first
-            witness = f"sampled pair separated at layer {first}"
-    return WindowScanResult(eta, epsilon, test_radius, "sampled-pairs", needed,
-                            scanned, witness)
 
 
 def synthesize_window_spec(sft: SftSpec, modulus: int, slack: int) -> SftSpec:

@@ -59,7 +59,6 @@ class ShiftSpace:
 
     def __init__(self, geometry: GroupGeometry):
         self.geometry = geometry
-        self._window_readers: dict[tuple[int, int], tuple[Callable, ...]] = {}
         self._window_plans: dict[tuple[int, int, bool], tuple] = {}
         self._window_orders: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -76,29 +75,21 @@ class ShiftSpace:
     def __repr__(self) -> str:
         return f"ShiftSpace({self.spec.family.name})"
 
-    def window_readers(self, radius: int, window_radius: int) -> tuple[Callable, ...]:
-        """One reader per g in ball(radius - window_radius): called on the
-        cells of ball(radius), it returns the window at g, the cells of h*g
-        for h in ball(window_radius), as a tuple."""
-        key = (radius, window_radius)
-        readers = self._window_readers.get(key)
-        if readers is None:
-            tables = self.geometry.translation_tables(window_radius, radius)
-            readers = self._window_readers[key] = tuple(map(gather, tables))
-        return readers
-
     def window_plan(self, radius: int, window_radius: int, every_cell: bool = False):
         """Window readers grouped by the ball position that completes them,
         for incremental admissibility checks during backtracking fills; with
         ``every_cell``, by every position they hold, for re-checking one
-        changed cell of an admissible assignment."""
+        changed cell of an admissible assignment.  The reader of the window
+        at g in ball(radius - window_radius), called on the cells of
+        ball(radius), returns the cells of h*g for h in ball(window_radius)
+        as a tuple."""
         key = (radius, window_radius, every_cell)
         plan = self._window_plans.get(key)
         if plan is None:
             geo = self.geometry
             by_cell: list[list[Callable]] = [[] for _ in range(geo.ball_size(radius))]
-            for read, table in zip(self.window_readers(radius, window_radius),
-                                   geo.translation_tables(window_radius, radius)):
+            for table in geo.translation_tables(window_radius, radius):
+                read = gather(table)
                 for pos in table if every_cell else (max(table),):
                     by_cell[pos].append(read)
             plan = tuple(tuple(ws) for ws in by_cell)
@@ -310,13 +301,13 @@ def full_shift(space: ShiftSpace) -> SftSpec:
 
 
 def locally_admissible(x: Configuration, sft: SftSpec) -> bool:
-    """Every window wholly inside the ball carries an allowed pattern."""
+    """Every window wholly inside the ball carries an allowed pattern: the
+    batch prefix check on the whole ball as one row, so a cell holding a
+    symbol other than 0 and 1 is refused too."""
     if x.space != sft.space:
         raise ValueError("configuration and SFT live on different spaces")
-    cells = x.cells
-    allowed = sft.allowed
-    return all(read(cells) in allowed
-               for read in x.space.window_readers(x.radius, sft.window_radius))
+    return {0, 1}.issuperset(x.cells) and bool(_prefixes_pass(
+        x.space, sft, x.radius, np.frombuffer(bytes(x.cells), np.uint8)[None])[0])
 
 
 # getrandbits(2) is the top two bits of one 32-bit word; a binary draw keeps

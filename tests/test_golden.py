@@ -2,8 +2,10 @@
 
 Each config runs through ``shadowlab run --out`` and the digest of the
 written file (``json.dumps(report, indent=2, sort_keys=True) + "\\n"``) must
-match.  The configs are the README examples plus one expansiveness-window
-config per method on the line, the plane and the free group, and the
+match.  The configs are the README examples plus an expansiveness-window
+config for every method on each of the line, the plane and the free group
+(``pairs`` on a small ball and on a larger one; the larger ones keep the
+``-sampled`` names they had when a sampled estimator ran them), and the
 tracing pipeline: sft-trace fields in every generation mode on the line,
 the plane, the free group and the Heisenberg group (one with the uniqueness
 scan), and single-trial quotient-chain traces, whose reports carry the
@@ -23,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from shadowlab.cli import main
+from shadowlab.harness import parameter_schema
 
 README_CONFIGS = {
     "readme-sft-trace": (
@@ -78,11 +81,10 @@ WINDOW_CONFIGS = {
         "debe7015ad58b745ba2174b5e0b5cbc8961457d4e9a233df681fd1ad259fe23b"),
     "line-pairs": (
         _window("integer-line", "pairs", 3, 4, "1/2", 2, sft="golden-mean"),
-        "118f0b63892ac54620719e828205a0a95733b66304baadd1dd0224ac33a98161"),
+        "402dab4f63f3a53deed8fa42febb6f3e29d3a966599dfd2b24439d9e7ef7cb90"),
     "line-sampled": (
-        _window("integer-line", "sampled", 6, 7, "3/4", 3, sft="even-window",
-                samples=300),
-        "239e81375385f006da7dabeb746b6dadcfaa2e91d55ce21a16dac14f803232dc"),
+        _window("integer-line", "pairs", 6, 7, "3/4", 3, sft="even-window"),
+        "b0690a43a0add67ff683e50e0cc58fb9d5b06f3ab6070835c739d97d55d6a25d"),
     "plane-flip": (
         _window("integer-plane", "flip", 3, 4, "1/2", 2),
         "2929702eb18def1dd9a36e4ac8b2f43516c7d30c2179648024caacd8e9053b19"),
@@ -91,11 +93,10 @@ WINDOW_CONFIGS = {
         "4ca95628f76129d2ee6f45e23b89e7dd0bc47d3edd814b261d902a25242c2b8b"),
     "plane-pairs": (
         _window("integer-plane", "pairs", 1, 2, "1/2", 1),
-        "ef21fc177601e181faca6de5304082c1d9a2d915492304414b63a3956bfef30c"),
+        "7e10a792e58fec46d434dfe351711014b97782f54e6de6c5e25346005c196d4d"),
     "plane-sampled": (
-        _window("integer-plane", "sampled", 3, 4, "1/3", 2, sft="hard-square",
-                samples=200),
-        "931e1c0ef95868d776b8a55f76cbb5aa8efc55ca466a4811a6c001a1d4f082c8"),
+        _window("integer-plane", "pairs", 3, 4, "1/3", 2, sft="hard-square"),
+        "5794f7830a3b35cc848fdb68a6d241d1f41e1bd2c2bd51f44aebf8fe9e519343"),
     "free-flip": (
         _window("free-rank-2", "flip", 3, 4, "1/2", 2),
         "4fad0043664d9555f46cbc434f0b2f822e56f71c3c9c12b02ed88b06179fac42"),
@@ -105,10 +106,10 @@ WINDOW_CONFIGS = {
     "free-pairs": (
         _window("free-rank-2", "pairs", 1, 2, "1", 1,
                 sft="one-forbidden-window"),
-        "6e9433517ed28ccc488b412e4791c3b31b7a2f959c52b25b9fc6401f0d1faf95"),
+        "a91ca9cdab6002acff50670911b806935b156d4a926823048ba5b6dd4a07cfb7"),
     "free-sampled": (
-        _window("free-rank-2", "sampled", 2, 3, "1/2", 2, samples=200),
-        "84e66026473e1354a797beb366806153b0cefa152568eafedf6b7009bb665350"),
+        _window("free-rank-2", "pairs", 2, 3, "1/2", 2),
+        "32ace0ba4ece2ce6493127b83157a0dc61d060168c0bd647c498069cbeebd56e"),
 }
 
 def _field(seed, **params):
@@ -163,6 +164,17 @@ PIPELINE_CONFIGS = {
 }
 
 GOLDEN = {**README_CONFIGS, **WINDOW_CONFIGS, **PIPELINE_CONFIGS}
+
+
+def test_window_configs_cover_every_method_on_every_group():
+    """Every value of the schema's window ``method`` enum has a config on
+    each of the three groups, and no config names a method it lacks."""
+    schema = parameter_schema("expansiveness-window")
+    methods = schema["properties"]["method"]["enum"]
+    covered = {(config["parameters"]["group"], config["parameters"]["method"])
+               for config, _ in WINDOW_CONFIGS.values()}
+    groups = ("integer-line", "integer-plane", "free-rank-2")
+    assert covered == {(group, method) for group in groups for method in methods}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

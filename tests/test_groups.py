@@ -241,15 +241,14 @@ def test_translations_from_generator_tables_match_products(name):
                                    geo.ball_size(src))
             assert list(map(tuple, array.tolist())) \
                 == list(geo.translation_tables(src, dst))
-    # the window readers, plans and orders of a cold space read the same
-    # tables: a reader called on the positions themselves returns its table
+    # the window plans and orders of a cold space read the same tables: a
+    # reader called on the positions themselves returns its table
     space = ShiftSpace(GroupGeometry(spec))
     for dst in range(top + 1):
         cells = range(geo.ball_size(dst))
         for src in range(dst + 1):
             oracle = [tuple(geo.position(h * g, dst) for h in geo.ball(src))
                       for g in geo.ball(dst - src)]
-            assert [read(cells) for read in space.window_readers(dst, src)] == oracle
             for every_cell in (False, True):
                 plan = space.window_plan(dst, src, every_cell)
                 assert [[read(cells) for read in readers] for readers in plan] \
@@ -265,7 +264,6 @@ def test_translations_from_generator_tables_match_products(name):
             tables, ends = space.window_order(dst, src)
             assert tables.shape == (0, geo.ball_size(src))
             assert ends.shape == (0,)
-    assert space.window_readers(0, 1) == ()
     assert space.window_plan(0, 1) == ((),)
     # a product leaving the destination ball is refused
     far = geo.ball(top)[-1]

@@ -14,7 +14,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from shadowlab import harness
+from shadowlab import harness, shifts
 from shadowlab.cli import main
 from shadowlab.errors import ConfigError
 from shadowlab.harness import (
@@ -645,7 +645,33 @@ def test_cli_flip_scan_of_an_sft_is_exit_two(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("config error: method exhaustive is complete only on the full "
-                   "shift, not sft golden-mean; use pairs or sampled\n")
+                   "shift, not sft golden-mean; use pairs\n")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"method": "sampled"},
+     "at method: 'sampled' is not one of ['flip', 'exhaustive', 'pairs']"),
+    ({"method": "pairs", "samples": 200},
+     "at <top>: Additional properties are not allowed ('samples' was "
+     "unexpected)"),
+])
+def test_cli_sampled_window_is_exit_two(tmp_path, capsys, overrides, message):
+    cfg = _window_config(sft="golden-mean", **overrides)
+    assert main(["run", _write(tmp_path, "cfg.json", cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: config invalid {message}\n"
+
+
+def test_cli_pair_scan_beyond_the_node_budget_is_exit_three(tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(shifts, "NODE_BUDGET", 50)
+    cfg = _window_config(method="pairs", sft="golden-mean")
+    assert main(["run", _write(tmp_path, "cfg.json", cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("capacity exceeded: fill search exceeded its 50-node "
+                   "budget on ball(4)\n")
 
 
 def test_cli_uniqueness_scan_beyond_the_field_is_exit_two(tmp_path, capsys):

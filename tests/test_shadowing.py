@@ -1,5 +1,6 @@
 """Pseudo-orbit fields, tracing, uniqueness, separation windows."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -43,7 +44,6 @@ from shadowlab.shadowing import (
     separation_window_exhaustive_check,
     separation_window_flip_scan,
     separation_window_pair_scan,
-    separation_window_sampled,
     synthesize_window_spec,
     trace_distances,
     uniqueness_scan,
@@ -217,9 +217,15 @@ def test_window_scans_agree_at_small_radius(line_space):
     pairs = separation_window_pair_scan(line_space, full_shift(line_space),
                                         eta, eps, 4, 4)
     assert flip.window == pairs.window == 2
-    sampled = separation_window_sampled(line_space, full_shift(line_space),
-                                        eta, eps, 4, 4, 200, Random(0))
-    assert sampled.window is not None and sampled.window <= 2
+    # on the full shift the flip scan is complete, so the two must agree
+    for radius in range(5):
+        for eta in _ETAS:
+            for eps in _EPSILONS:
+                for w in range(radius + 2):
+                    assert separation_window_pair_scan(
+                        line_space, full_shift(line_space), eta, eps, radius,
+                        w).window == separation_window_flip_scan(
+                            line_space, eta, eps, radius, w).window
 
 
 def test_exhaustive_window_check_confirms_and_refutes(line_space):
@@ -463,29 +469,6 @@ def _ref_pair_scan(space, sft, eta, epsilon, test_radius, max_window):
                             pairs, witness)
 
 
-def _ref_sampled(space, sft, eta, epsilon, test_radius, max_window, samples,
-                 rng):
-    needed = 0
-    scanned = 0
-    witness = "no sampled pair forced a larger window"
-    for _ in range(samples):
-        x = random_admissible(space, sft, test_radius, rng)
-        y = random_admissible(space, sft, test_radius, rng)
-        if not refutes(distance(x, y), epsilon):
-            continue
-        scanned += 1
-        first = _ref_first_violation(x, y, eta, max_window)
-        if first is None:
-            return WindowScanResult(eta, epsilon, test_radius, "sampled-pairs",
-                                    None, scanned, "sampled pair stayed within "
-                                    f"eta through ball({max_window})")
-        if first > needed:
-            needed = first
-            witness = f"sampled pair separated at layer {first}"
-    return WindowScanResult(eta, epsilon, test_radius, "sampled-pairs", needed,
-                            scanned, witness)
-
-
 def _ref_exhaustive(space, eta, epsilon, window, test_radius):
     """Walk every nonempty disagreement set in increasing mask order."""
     geo = space.geometry
@@ -572,27 +555,116 @@ def _window_sfts(space, group):
 
 
 @pytest.mark.parametrize("group", sorted(_GROUP_SPECS))
-def test_pair_and_sampled_scans_match_the_definitions(group):
+def test_pair_scan_matches_the_definitions(group):
+    """The window, and so pass or fail and the None case, is the literal
+    all-pairs oracle's on every ball it can afford; ``scanned`` and the
+    witness are checked against the pair definitions below."""
     space = ShiftSpace(GroupGeometry(_GROUP_SPECS[group]()))
+    windows = set()
     for sft in _window_sfts(space, group):
-        for radius in _small_radii(space, 16):
-            # the literal pair scan is quadratic in 2^n: balls of <= 5 cells
-            pairs = space.geometry.ball_size(radius) <= 5
-            for eta in [Fraction(1), Fraction(1, 2), Fraction(1, 3),
-                        Fraction(1, 4)]:
-                for epsilon in _EPSILONS[::2]:
+        for radius in _small_radii(space, 7):
+            # the oracle is quadratic in 2^n: 7-cell balls get a corner
+            full = space.geometry.ball_size(radius) <= 5
+            for eta in _ETAS if full else _ETAS[2:4]:
+                for epsilon in _EPSILONS[::2] if full else _EPSILONS[2:3]:
                     for w in range(radius + 2):
-                        if pairs:
-                            assert (separation_window_pair_scan(
-                                        space, sft, eta, epsilon, radius, w)
-                                    == _ref_pair_scan(space, sft, eta, epsilon,
-                                                      radius, w))
-                        seed = 100 * radius + w
-                        assert (separation_window_sampled(
-                                    space, sft, eta, epsilon, radius, w, 12,
-                                    Random(seed))
-                                == _ref_sampled(space, sft, eta, epsilon,
-                                                radius, w, 12, Random(seed)))
+                        scan = separation_window_pair_scan(space, sft, eta,
+                                                           epsilon, radius, w)
+                        assert scan.window == _ref_pair_scan(
+                            space, sft, eta, epsilon, radius, w).window
+                        windows.add(scan.window)
+    assert {0, None} <= windows  # both outcomes, pass and fail, occur
+
+
+def _ref_witness(space, sft, eta, epsilon, test_radius, max_window):
+    """The pair scan's ``scanned`` and witness, read off the pairs.
+
+    Over the epsilon-separated pairs (i, j), i < j in enumeration order,
+    with p their first differing position and k their first separating
+    layer: a None k makes the window None, and otherwise it is the largest
+    k.  The witness position is the least p of a pair needing that window,
+    and its pair the first, in enumeration order, to complete one: the
+    least j with such a partner, and its least partner i.
+    """
+    configs = [Configuration(space, test_radius, cells)
+               for cells in enumerate_admissible(space, sft, test_radius)]
+    counted = {}
+    for j, y in enumerate(configs):
+        for i, x in enumerate(configs[:j]):
+            if refutes(distance(x, y), epsilon):
+                p = next(q for q, (u, v) in enumerate(zip(x.cells, y.cells))
+                         if u != v)
+                counted[i, j] = (p, _ref_first_violation(x, y, eta,
+                                                         max_window))
+    layers = [k for _, k in counted.values()]
+    window = None if None in layers else max(layers, default=0)
+    if window == 0:
+        return len(configs), "no separating pair needed more"
+    p = min(q for q, k in counted.values() if k == window)
+    i, j = min(((i, j) for (i, j), (q, k) in counted.items()
+                if (q, k) == (p, window)), key=lambda pair: pair[::-1])
+    at = f"pair {i},{j} differs first at position {p} " \
+         f"(layer {space.geometry.layer_of_position(p)})"
+    if window is None:
+        return len(configs), (f"{at} and agrees within eta through "
+                              f"ball({max_window})")
+    return len(configs), f"binding {at}, separated at layer {window}"
+
+
+@pytest.mark.parametrize("group", sorted(_GROUP_SPECS))
+def test_pair_scan_witness_and_count_match_the_pairs(group):
+    space = ShiftSpace(GroupGeometry(_GROUP_SPECS[group]()))
+    sfts = _window_sfts(space, group)
+    cases = [(sft, radius) for sft in sfts for radius in _small_radii(space, 5)]
+    if group == "line":  # windows above 1 need ball(3), affordable when constrained
+        cases += [(sft, 3) for sft in sfts[1:]]
+    windows = set()
+    for sft, radius in cases:
+        for eta in _ETAS[::2]:
+            for epsilon in _EPSILONS[1::2]:
+                for w in range(radius + 2):
+                    scan = separation_window_pair_scan(space, sft, eta, epsilon,
+                                                       radius, w)
+                    assert (scan.scanned, scan.witness) == _ref_witness(
+                        space, sft, eta, epsilon, radius, w)
+                    windows.add(scan.window)
+    assert {0, None} <= windows
+    assert group != "line" or {1, 2} <= windows
+
+
+def test_hard_square_window_on_the_plane_is_one():
+    """Two hard-square configurations on the plane's ball(3) first differ
+    in layer 3, at distance 2^-2 = epsilon, and only a layer-1 frame
+    pushes them past eta = 1/3.  So the window is 1; 200 random pairs
+    had reported 0."""
+    space = ShiftSpace(GroupGeometry(integer_plane_spec()))
+    sft = hard_square_sft(space)
+    eta, epsilon = Fraction(1, 3), Fraction(1, 4)
+    scan = separation_window_pair_scan(space, sft, eta, epsilon, 3, 4)
+    assert (scan.window, scan.scanned) == (1, 139_344)
+    assert scan.witness == ("binding pair 3076,3077 differs first at position "
+                            "13 (layer 3), separated at layer 1")
+    configs = list(itertools.islice(enumerate_admissible(space, sft, 3), 3078))
+    x, y = (Configuration(space, 3, configs[i]) for i in (3076, 3077))
+    assert locally_admissible(x, sft) and locally_admissible(y, sft)
+    assert refutes(distance(x, y), epsilon)
+    assert _ref_first_violation(x, y, eta, 4) == 1
+
+
+@pytest.mark.parametrize("group, build, radius, eta, exponent, window", [
+    ("line", golden_mean_sft, 6, Fraction(3, 4), 3, 3),
+    ("line", even_window_sft, 6, Fraction(3, 4), 3, 3),
+    ("plane", hard_square_sft, 2, Fraction(1, 2), 2, 1),
+])
+def test_pair_scan_windows_beyond_the_oracle(group, build, radius, eta,
+                                             exponent, window):
+    """Windows of 610, 1,897 and 689 configurations, as the all-pairs
+    scan found them in 0.6, 5.3 and 0.7 s."""
+    space = ShiftSpace(GroupGeometry(_GROUP_SPECS[group]()))
+    scan = separation_window_pair_scan(space, build(space), eta,
+                                       Fraction(1, 2 ** exponent), radius,
+                                       radius + 1)
+    assert scan.window == window
 
 
 # group: (SFT, field radius, plan, inner radius); every case perturbs a layer

@@ -172,6 +172,11 @@ def test_hard_square_rejects_adjacent_ones(plane_space):
     bad[0] = 1
     bad[1] = 1  # identity and a generator neighbor both set
     assert not locally_admissible(Configuration(plane_space, 2, tuple(bad)), sft)
+    # a symbol other than 0 and 1 is refused, one aliasing 0 as a byte too
+    for symbol in (2, -1, 256):
+        odd = Configuration(plane_space, 2, (symbol,) + tuple(ok[1:]))
+        assert not locally_admissible(odd, sft)
+        assert not locally_admissible(odd, full_shift(plane_space))
 
 
 def test_random_admissible_respects_sft_and_prefix(line_space):
