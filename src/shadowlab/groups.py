@@ -305,8 +305,8 @@ class GroupGeometry:
     per table.  One cache per (src, dst) holds the tables of every g in
     ball(dst - src), in ball order, since the shift action reuses them
     heavily; the step tables are cached too, and so are the read-only
-    array forms of both that the array kernels gather through, and the
-    flat cell indices a field's step check gathers.
+    array forms of both that the array kernels gather through, the flat
+    cell indices a field's step check gathers, and position exponents.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -323,6 +323,7 @@ class GroupGeometry:
         self._translation_arrays: dict[tuple[int, int], np.ndarray] = {}
         self._step_faces: dict[int, np.ndarray] = {}
         self._step_cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._layer_exponents: dict[int, np.ndarray] = {}
 
     @property
     def family(self):
@@ -386,6 +387,14 @@ class GroupGeometry:
 
     def layer_of_position(self, i: int) -> int:
         return self._layers[i]
+
+    def layer_exponents(self, radius: int) -> np.ndarray:
+        """The exponent max(k - 1, 0) of a first difference at each position
+        of ball(radius), k its layer, as one read-only integer array."""
+        if radius not in self._layer_exponents:
+            layers = np.array(self._layers[:self.ball_size(radius)], dtype=np.intp)
+            self._layer_exponents[radius] = read_only(np.maximum(layers - 1, 0))
+        return self._layer_exponents[radius]
 
     def word_length(self, g: GroupElement, max_radius: int) -> Optional[int]:
         """BFS word length of g, or None if it exceeds max_radius."""

@@ -18,6 +18,10 @@ and the identity entry traces them over the whole index ball.  The rotation
 system at the bottom of this module is the counterweight: a compact
 zero-dimensional system with no such cylinder structure, where the analogous
 modulus search provably comes up empty.
+
+A chain field is one integer array, a row per ball element and a column
+per level, moved in one gather through ``level_table`` and checked by the
+shift fields' ``first_exponents`` kernel.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ import csv
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from random import Random
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,9 +43,10 @@ from .groups import (
     GroupSpec,
     IntegerLattice,
     integer_line_spec,
+    read_only,
 )
-from .shadowing import step_distances, trace_distances
-from .shifts import DyadicDistance, refutes
+from .shadowing import first_exponents
+from .shifts import DyadicDistance
 
 _WORD_SEARCH_RADIUS = 32
 _TABLE_COLUMNS = ("level", "index", "parent")
@@ -95,6 +100,10 @@ class QuotientChain:
                     if not 0 <= par < self.level_sizes[n - 1]:
                         raise ValueError(f"class {i} at level {n} refines "
                                          f"nothing: parent {par}")
+                childless = set(range(self.level_sizes[n - 1])) - set(self.parents[n])
+                if childless:
+                    raise ValueError(f"class {min(childless)} at level {n - 1} "
+                                     f"is refined by no class at level {n}")
             for g in gens:
                 table = self.tables[g][n]
                 if sorted(table) != list(range(size)):
@@ -125,6 +134,18 @@ class QuotientChain:
 
     def children(self, n: int, parent_class: int) -> tuple[int, ...]:
         return self._children[n][parent_class]
+
+    @cached_property
+    def level_table(self) -> np.ndarray:
+        """Entry [a, n, i], levels padded with zeros to the widest, is the
+        class that the a-th generator sends class i of level n to, so rows
+        of classes move by generators a in one gather [a, levels, rows]."""
+        table = np.zeros((len(self.spec.generators), self.depth + 1,
+                          max(self.level_sizes)), dtype=np.intp)
+        for a, g in enumerate(self.spec.generators):
+            for n, level in enumerate(self.tables[g]):
+                table[a, n, :len(level)] = level
+        return read_only(table)
 
 
 @dataclass(frozen=True)
@@ -158,30 +179,9 @@ def act_point(chain: QuotientChain, g: GroupElement,
     return ProfinitePoint(chain, path)
 
 
-def level_distance(x: ProfinitePoint, y: ProfinitePoint) -> DyadicDistance:
-    """2^-(n-1) for the first level n where the paths split; marker if never."""
-    if x.chain is not y.chain:
-        raise ValueError("points belong to different chains")
-    for n in range(1, len(x.path)):
-        if x.path[n] != y.path[n]:
-            return DyadicDistance(n - 1, False)
-    return DyadicDistance(x.chain.depth, True)
-
-
 def random_point(chain: QuotientChain, rng: Random) -> ProfinitePoint:
     path = [0]
     for n in range(1, chain.depth + 1):
-        path.append(rng.choice(chain.children(n, path[-1])))
-    return ProfinitePoint(chain, tuple(path))
-
-
-def randomize_deep_levels(chain: QuotientChain, x: ProfinitePoint,
-                          keep_levels: int, rng: Random) -> ProfinitePoint:
-    """Keep the path through ``keep_levels``, re-walk the tree below it."""
-    if keep_levels >= chain.depth:
-        return x
-    path = list(x.path[: keep_levels + 1])
-    for n in range(keep_levels + 1, chain.depth + 1):
         path.append(rng.choice(chain.children(n, path[-1])))
     return ProfinitePoint(chain, tuple(path))
 
@@ -305,11 +305,39 @@ class ChainTraceReport:
     worst_residual: Optional[DyadicDistance]
 
 
-def _worst(dists: Iterable[DyadicDistance]) -> Optional[DyadicDistance]:
-    definite = [d for d in dists if not d.marker]
-    if not definite:
-        return None
-    return max(definite, key=lambda d: d.value)
+def _orbit_rows(chain: QuotientChain, radius: int, path) -> np.ndarray:
+    """Row j is g_j . path: in ball order, each element first reached gets
+    the row it was reached from, moved by a generator (well defined, as the
+    validated tables commute and cancel their inverses)."""
+    levels = np.arange(chain.depth + 1)
+    rows = np.full((chain.geometry.ball_size(radius), chain.depth + 1), -1)
+    rows[0] = path
+    for i, steps in enumerate(chain.geometry.step_table(radius)):
+        for a, j in steps:
+            if rows[j, 0] < 0:
+                rows[j] = chain.level_table[a, levels, rows[i]]
+    return rows
+
+
+def _field_exponents(chain: QuotientChain, radius: int, field: np.ndarray):
+    """First-difference exponents, level n at 2^-(n-1), of the step faces
+    a . x_g against x_{ag} in ``step_faces`` order and of the identity
+    entry's orbit against the field; the root, level 0, never differs."""
+    levels = np.arange(chain.depth + 1)
+    exponents = levels - 1
+    src, gen, dst = chain.geometry.step_faces(radius)
+    moved = chain.level_table[gen[:, None], levels, field[src]]
+    orbit = _orbit_rows(chain, radius, field[0])
+    return (first_exponents(moved != field[dst], exponents),
+            first_exponents(orbit != field, exponents))
+
+
+def _verdict(exponents: np.ndarray, k: int):
+    """(no definite distance refutes threshold exponent k, the largest
+    definite one: the least exponent past the marker -1, or None)."""
+    definite = exponents[exponents >= 0]
+    worst = DyadicDistance(int(definite.min())) if definite.size else None
+    return worst is None or worst.exponent > k, worst
 
 
 def chain_trace_experiment(chain: QuotientChain, radius: int, modulus: int,
@@ -317,9 +345,9 @@ def chain_trace_experiment(chain: QuotientChain, radius: int, modulus: int,
     """Build a strict step field over ball(radius) and trace it.
 
     Entries keep the orbit's path through level m+2 and re-walk deeper
-    levels at random.  The step tolerance 2^-(m+1) and tracing tolerance
-    2^-m are then checked, not assumed, by the step check and trace
-    comparison that shift fields use; the trace is the identity entry and
+    levels at random, row by row in ball order.  The step tolerance
+    2^-(m+1) and tracing tolerance 2^-m are then checked, not assumed, on
+    threshold exponents m + 1 and m; the trace is the identity entry and
     its residuals are verified over the whole index ball.
     """
     if modulus < 0:
@@ -328,33 +356,22 @@ def chain_trace_experiment(chain: QuotientChain, radius: int, modulus: int,
     if chain.depth < keep:
         raise ValueError(f"chain depth {chain.depth} cannot certify modulus "
                          f"{modulus}; need at least {keep} levels")
-    delta = Fraction(1, 2 ** (modulus + 1))
-    epsilon = Fraction(1, 2 ** modulus)
-    geo = chain.geometry
-    ball = geo.ball(radius)
-    base = random_point(chain, rng)
-    entries = []
-    perturbed = 0
-    for g in ball:
-        exact = act_point(chain, g, base)
-        entry = randomize_deep_levels(chain, exact, keep, rng)
-        perturbed += sum(1 for n in range(keep + 1, chain.depth + 1)
-                         if entry.path[n] != exact.path[n])
-        entries.append(entry)
-    act = partial(act_point, chain)
-    gens = chain.spec.generators
-    steps = step_distances(lambda a, x: act(gens[a], x), level_distance, geo,
-                           radius, entries)
-    residuals = tuple(trace_distances(act, level_distance, ball, entries[0],
-                                      entries))
-    step_ok = not any(refutes(d, delta) for d in steps)
-    trace_ok = not any(refutes(d, epsilon) for d in residuals)
+    exact = _orbit_rows(chain, radius, random_point(chain, rng).path)
+    rows = exact.tolist()
+    for row in rows:
+        for n in range(keep + 1, chain.depth + 1):
+            row[n] = rng.choice(chain.children(n, row[n - 1]))
+    field = np.array(rows)
+    steps, residuals = _field_exponents(chain, radius, field)
+    step_ok, worst_step = _verdict(steps, modulus + 1)
+    trace_ok, worst_residual = _verdict(residuals, modulus)
     if not step_ok:
         raise GenerationError("chain step field violated its own tolerance; "
                               "level bookkeeping is broken")
-    return ChainTraceReport(radius, modulus, keep, delta, epsilon, len(ball),
-                            perturbed, step_ok, _worst(steps), trace_ok,
-                            _worst(residuals))
+    return ChainTraceReport(radius, modulus, keep, Fraction(1, 2 ** (modulus + 1)),
+                            Fraction(1, 2 ** modulus), len(field),
+                            int(np.count_nonzero(field != exact)), step_ok,
+                            worst_step, trace_ok, worst_residual)
 
 
 @dataclass(frozen=True)
@@ -406,14 +423,6 @@ class NecklaceShift:
     def step(self, p: tuple[int, ...]) -> tuple[int, ...]:
         return p[1:] + p[:1]
 
-    def distance_exponent(self, p: tuple[int, ...],
-                          q: tuple[int, ...]) -> Optional[int]:
-        """First differing coordinate, or None for equal tuples."""
-        for i in range(self.width):
-            if p[i] != q[i]:
-                return i
-        return None
-
 
 def _necklace_pseudo_orbit(system: NecklaceShift,
                            dwell: int) -> list[tuple[int, ...]]:
@@ -454,10 +463,10 @@ def necklace_modulus_search(width: int, epsilon_exponent: int,
                           f"{epsilon_exponent} exceeds max_modulus {max_modulus} "
                           f"or width {width} - 3")
     orbit = _necklace_pseudo_orbit(system, dwell=width + 2)
-    for i in range(len(orbit) - 1):
-        gap = system.distance_exponent(system.step(orbit[i]), orbit[i + 1])
-        if gap is not None and gap < moduli[-1] + 2:
-            raise GenerationError("adversarial field broke its own tolerance")
+    steps = np.array([system.step(p) for p in orbit[:-1]])
+    gaps = first_exponents(steps != np.array(orbit[1:]), np.arange(width))
+    if ((0 <= gaps) & (gaps < moduli[-1] + 2)).any():
+        raise GenerationError("adversarial field broke its own tolerance")
     # point p as the int whose bit width-1-i holds coordinate i: product
     # order is numeric order, a step is a left rotation, and p agrees with
     # t on coordinates 0..epsilon_exponent when (p ^ t) & top == 0; one

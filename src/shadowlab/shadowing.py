@@ -19,14 +19,12 @@ Radius bookkeeping, fixed once and used throughout:
     min(R - |g|, R_in); a definite mismatch at or above epsilon refutes,
     a truncation marker never does.
 
-The generic trace comparison, ``trace_distances``, is written once for
-any action ``act(g, x)`` and metric ``distance(x, y)``, and so is the
-generic step check, ``step_distances``; quotient chains use both, with
-their levelwise action and ``level_distance``.  A shift field works on its
-cell array instead: one gather of every face's cells checks its steps
-(``PseudoOrbit.step_profile``), and one gather per comparison radius
-checks a trace (``verify_trace``) or a block of uniqueness candidates
-(``uniqueness_scan``).
+A shift field is one cell array: one gather of every face's cells checks
+its steps (``PseudoOrbit.step_profile``), and one gather per comparison
+radius checks a trace (``verify_trace``) or a block of uniqueness
+candidates (``uniqueness_scan``).  These and the quotient chains' checks
+read the distance exponent of each first difference (``first_exponents``)
+and refute a threshold t when 0 <= e <= k(t) (``threshold_exponent``).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -52,7 +50,7 @@ from .shifts import (
     enumerate_admissible,
     fill_rows,
     locally_admissible,
-    refutes,
+    threshold_exponent,
 )
 
 PASSER_SAMPLES = 8
@@ -73,6 +71,11 @@ class TracingPlan:
     modulus: int
     delta: Fraction
 
+    @property
+    def epsilon_exponent(self) -> int:
+        """k(epsilon): a definite residual 2^-e refutes when 0 <= e <= k."""
+        return threshold_exponent(self.epsilon)
+
 
 def potp_modulus(window_radius: int, epsilon: Fraction) -> TracingPlan:
     if epsilon <= 0:
@@ -83,24 +86,11 @@ def potp_modulus(window_radius: int, epsilon: Fraction) -> TracingPlan:
     return TracingPlan(window_radius, epsilon, m, Fraction(1, 2 ** (m + 1)))
 
 
-def step_distances(act: Callable, distance: Callable, geometry,
-                   radius: int, entries: Sequence) -> tuple:
-    """The step faces d(a . x_g, x_{ag}) of a field indexed by ball(radius).
-
-    One face per element g and generator a with ag in the ball too, in ball
-    order and then generator order, read off the geometry's step table;
-    ``act`` takes the generator's index in the spec's generator tuple.
-    """
-    return tuple(distance(act(a, x), entries[j])
-                 for x, steps in zip(entries, geometry.step_table(radius))
-                 for a, j in steps)
-
-
-def trace_distances(act: Callable, distance: Callable, ball: Sequence,
-                    trace, entries: Sequence):
-    """The residuals d(g . trace, x_g) over ``ball``, lazily and in ball
-    order, so a scan can stop at the first refuting frame."""
-    return (distance(act(g, trace), entries[i]) for i, g in enumerate(ball))
+def first_exponents(differ: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``exponents[i]`` for the first differing cell i of each comparison,
+    whose cells lie on ``differ``'s last axis; -1, the truncation marker,
+    for a comparison with none."""
+    return np.where(differ.any(axis=-1), exponents[differ.argmax(axis=-1)], -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +142,8 @@ class PseudoOrbit:
         and the target cells of every face, and one comparison finds the
         faces that differ.  A face with no difference is a marker; the
         others are definite, and the worst one is the face whose first
-        difference comes earliest, in the shallowest layer k, with value
-        2^-max(k - 1, 0).
+        difference comes earliest: its exponent is that of the first cell
+        where any face differs.
         """
         geo = self.space.geometry
         cells = self.cells.ravel()
@@ -162,9 +152,10 @@ class PseudoOrbit:
         definite = int(np.count_nonzero(differ.any(axis=1)))
         if not definite:
             return True, Fraction(0), 0
-        layer = geo.layer_of_position(int(differ.any(axis=0).argmax()))
-        worst = Fraction(1, 2 ** max(layer - 1, 0))
-        return worst < self.delta, worst, definite
+        worst = int(first_exponents(differ.any(axis=0),
+                                    geo.layer_exponents(self.inner_radius - 1)))
+        return (worst > threshold_exponent(self.delta), Fraction(1, 2 ** worst),
+                definite)
 
 
 def delta_profile(orbit: PseudoOrbit) -> tuple[bool, Fraction, int]:
@@ -281,7 +272,8 @@ def verify_trace(orbit: PseudoOrbit, trace: Configuration, plan: TracingPlan,
     inner radius); the frames of one c are consecutive in ball order, and
     one gather of the trace's cells through ``translation_array(c, R)``
     moves them all.  A frame with no differing cell is a marker; otherwise
-    the layer k of its first difference gives 2^-max(k - 1, 0).
+    its distance is 2^-e, e the exponent ``first_exponents`` reads off the
+    geometry's ``layer_exponents``, and it fails when e <= k(epsilon).
     """
     geo = orbit.space.geometry
     radius = orbit.radius
@@ -292,21 +284,18 @@ def verify_trace(orbit: PseudoOrbit, trace: Configuration, plan: TracingPlan,
     if trace.radius != radius:
         raise ValueError("the trace must live on the field's ball")
     cells = np.array(trace.cells, dtype=np.uint8)
+    k, exponents = plan.epsilon_exponent, geo.layer_exponents(orbit.inner_radius)
     lengths = list(map(geo.layer_of_position, range(geo.ball_size(scan_radius))))
     checks = []
     for c, frames in itertools.groupby(
             lengths, lambda length: min(radius - length, orbit.inner_radius)):
         lo = len(checks)
         hi = lo + len(list(frames))
-        n = geo.ball_size(c)
         differ = (cells[geo.translation_array(c, radius)[lo:hi]]
-                  != orbit.cells[lo:hi, :n])
-        firsts = np.where(differ.any(axis=1), differ.argmax(axis=1), n)
-        for gi, first in enumerate(firsts.tolist(), lo):
-            d = (DyadicDistance(c + 1, True) if first == n else DyadicDistance(
-                max(geo.layer_of_position(first) - 1, 0), False))
-            checks.append(TraceCheck(gi, lengths[gi], c, d,
-                                     not refutes(d, plan.epsilon)))
+                  != orbit.cells[lo:hi, :geo.ball_size(c)])
+        for gi, e in enumerate(first_exponents(differ, exponents).tolist(), lo):
+            d = DyadicDistance(c + 1, True) if e < 0 else DyadicDistance(e)
+            checks.append(TraceCheck(gi, lengths[gi], c, d, not 0 <= e <= k))
     admissible = locally_admissible(trace, orbit.sft)
     return TraceResult(trace, scan_radius, tuple(checks), admissible,
                        all(c.passed for c in checks) and admissible)
@@ -340,9 +329,9 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
     as the rows of one uint8 array.  Frame g compares g . y with the entry
     at g on ball(c), c = min(R - |g|, inner radius, cap), as
     ``verify_trace`` does: one gather through ``translation_array(c, R)``
-    per comparison radius, and each frame's first differing position.  A
-    frame with none is a marker and never refutes; otherwise a table of
-    ``refutes`` over the positions of ball(c) decides it.
+    per comparison radius, and the exponent of each frame's first
+    differing position, refuting when 0 <= e <= k(epsilon); a frame with
+    none is a marker, -1, and never refutes.
     """
     if not 2 * plan.epsilon < eta:
         return UniquenessReport(False, eta, 0, 0, 0, 0, 0, ())
@@ -354,19 +343,15 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
     if scan_radius > radius:
         raise ValueError("scan radius cannot exceed the field radius")
     cap = comparison_cap if comparison_cap is not None else plan.modulus
+    k, exponents = plan.epsilon_exponent, geo.layer_exponents(orbit.inner_radius)
     lengths = map(geo.layer_of_position, range(geo.ball_size(scan_radius)))
-    radii = []  # (moves, targets, refuting) per comparison radius
+    radii = []  # (moves, targets) per comparison radius
     lo = 0
     for c, frames in itertools.groupby(
             lengths, lambda length: min(radius - length, orbit.inner_radius, cap)):
         hi = lo + len(list(frames))
-        n = geo.ball_size(c)
-        # the last entry is a frame with no difference, a marker
-        refuting = np.array([refutes(DyadicDistance(max(
-            geo.layer_of_position(p) - 1, 0)), plan.epsilon) for p in range(n)]
-            + [False])
         radii.append((geo.translation_array(c, radius)[lo:hi],
-                      orbit.cells[lo:hi, :n], refuting))
+                      orbit.cells[lo:hi, :geo.ball_size(c)]))
         lo = hi
     core_size = geo.ball_size(min(plan.modulus, radius))
     candidates = enumerate_admissible(space, orbit.sft, radius)
@@ -376,11 +361,9 @@ def uniqueness_scan(orbit: PseudoOrbit, plan: TracingPlan, eta: Fraction,
         scanned += len(block)
         ys = np.array(block, dtype=np.uint8)
         alive = np.ones(len(block), dtype=bool)
-        for moves, targets, refuting in radii:
-            differ = ys[:, moves] != targets
-            n = targets.shape[1]
-            firsts = np.where(differ.any(axis=2), differ.argmax(axis=2), n)
-            alive &= ~refuting[firsts].any(axis=1)
+        for moves, targets in radii:
+            e = first_exponents(ys[:, moves] != targets, exponents)
+            alive &= ~((0 <= e) & (e <= k)).any(axis=1)
         passers.extend(ys[alive].tolist())
     cores = {tuple(y[:core_size]) for y in passers}
     samples = tuple(Configuration(space, radius, tuple(y)).serialize()

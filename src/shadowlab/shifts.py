@@ -156,13 +156,10 @@ class DyadicDistance:
         return f"2^-{self.exponent}{tag}"
 
 
-def refutes(d: DyadicDistance, threshold: Fraction) -> bool:
-    """True when an observed (non-marker) distance is at least the threshold.
-
-    A marker never refutes: at truncation it means "could not distinguish",
-    so no claim of exceeding the threshold is honest.
-    """
-    return (not d.marker) and d.value >= threshold
+def threshold_exponent(threshold: Fraction) -> int:
+    """k(p/q): a definite 2^-e is at least p/q exactly when 2^e <= q // p,
+    that is when 0 <= e <= k; -1 when no distance is."""
+    return (threshold.denominator // threshold.numerator).bit_length() - 1
 
 
 def distance(x: Configuration, y: Configuration) -> DyadicDistance:

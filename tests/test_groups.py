@@ -299,7 +299,10 @@ def test_window_orders_are_shared_and_read_only():
     assert geo.step_faces(3) is faces
     cells = geo.step_cells(3, 4)
     assert geo.step_cells(3, 4) is cells
-    for array in (tables, ends, translations, faces, *cells):
+    exponents = geo.layer_exponents(3)
+    assert geo.layer_exponents(3) is exponents
+    assert exponents.tolist() == [0] * 5 + [1] * 12 + [2] * 36
+    for array in (tables, ends, translations, faces, *cells, exponents):
         assert_frozen(array)
 
 

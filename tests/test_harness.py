@@ -788,6 +788,23 @@ def test_cli_chain_csv_with_a_long_row_is_exit_two(tmp_path, capsys):
                    "than the header\n")
 
 
+def test_cli_chain_csv_with_a_childless_class_is_exit_two(tmp_path, capsys):
+    """Both level-2 classes refine class 0, so a path through class 1 of
+    level 1 has nowhere to go: refused before any trial draws one."""
+    table = tmp_path / "t.csv"
+    table.write_text("level,index,parent,(1),(-1)\n0,0,-1,0,0\n"
+                     "1,0,0,0,0\n1,1,0,1,1\n2,0,0,0,0\n2,1,0,1,1\n")
+    for seed in range(1, 7):
+        cfg = _csv_chain_config(table)
+        cfg["seed"] = seed
+        cfg["parameters"].update(radius=1, modulus=0, trials=4)
+        code = main(["run", _write(tmp_path, "cfg.json", cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("config error: class 1 at level 1 is refined by no "
+                       "class at level 2\n")
+
+
 def test_cli_more_displacement_terms_than_wave_vectors_is_exit_two(
         tmp_path, capsys):
     cfg = {"experiment": "toral-stability", "seed": 1,

@@ -2,13 +2,14 @@
 
 import itertools
 from fractions import Fraction
-from functools import partial
 from random import Random
 
+import numpy as np
 import pytest
 
+import oracles
 from shadowlab import profinite
-from shadowlab.errors import ConfigError
+from shadowlab.errors import ConfigError, GenerationError
 from shadowlab.groups import (
     GroupElement,
     IntegerLattice,
@@ -26,15 +27,12 @@ from shadowlab.profinite import (
     chain_modulus_certificate,
     chain_to_csv,
     chain_trace_experiment,
-    level_distance,
     necklace_modulus_search,
     odometer_chain,
     plane_lattice_chain,
     random_point,
-    randomize_deep_levels,
 )
-from shadowlab.shadowing import step_distances
-from shadowlab.shifts import refutes
+from shadowlab.shadowing import first_exponents
 
 
 def test_odometer_levels_are_residue_rings():
@@ -72,14 +70,22 @@ def test_plane_chain_acts_per_coordinate():
     assert my.path == (0, 1, 1, 1)
 
 
+def _level_exponent(x, y):
+    """The kernel's exponent of two paths: column n is level n, at 2^-(n-1)."""
+    levels = np.arange(len(x.path))
+    return int(first_exponents(np.array(x.path) != np.array(y.path), levels - 1))
+
+
 def test_level_distance_conventions():
     chain = odometer_chain(2, 6)
     x = ProfinitePoint(chain, (0, 0, 0, 4, 12, 28, 60))
     y = ProfinitePoint(chain, (0, 0, 0, 4, 4, 4, 4))
-    d = level_distance(x, y)
+    d = oracles.level_distance(x, y)
     assert not d.marker and d.value == Fraction(1, 8)  # first split at level 4
-    same = level_distance(x, x)
+    assert _level_exponent(x, y) == 3
+    same = oracles.level_distance(x, x)
     assert same.marker and same.exponent == 6
+    assert _level_exponent(x, x) == -1
 
 
 def test_level_distance_is_an_ultrametric():
@@ -87,8 +93,11 @@ def test_level_distance_is_an_ultrametric():
     rng = Random(1)
     for _ in range(300):
         x, y, z = (random_point(chain, rng) for _ in range(3))
-        dxz = level_distance(x, z).value
-        assert dxz <= max(level_distance(x, y).value, level_distance(y, z).value)
+        d = {}
+        for name, (p, q) in {"xy": (x, y), "yz": (y, z), "xz": (x, z)}.items():
+            d[name] = oracles.level_distance(p, q)
+            assert _level_exponent(p, q) == oracles.exponent(d[name])
+        assert d["xz"].value <= max(d["xy"].value, d["yz"].value)
 
 
 def test_points_must_refine_their_parents():
@@ -96,7 +105,7 @@ def test_points_must_refine_their_parents():
     with pytest.raises(ValueError):
         ProfinitePoint(chain, (0, 1, 3, 1, 1))  # 1 at level 3 refines 1, not 3
     x = ProfinitePoint(chain, (0, 1, 3, 7, 15))
-    deep = randomize_deep_levels(chain, x, 2, Random(0))
+    deep = oracles.randomize_deep_levels(chain, x, 2, Random(0))
     assert deep.path[:3] == x.path[:3]
 
 
@@ -123,6 +132,14 @@ def test_broken_tables_are_rejected():
         QuotientChain(spec, [1, 2, 4], [None, (0, 0), (0, 0, 1, 1)],
                       {plus: [(0,), (1, 0), (1, 2, 3, 0)],
                        minus: [(0,), (1, 0), (3, 0, 1, 2)]})
+
+
+def test_a_class_that_nothing_refines_is_rejected():
+    spec = integer_line_spec()
+    identity = {g: [(0,), (0, 1), (0, 1)] for g in spec.generators}
+    with pytest.raises(ValueError) as info:
+        QuotientChain(spec, [1, 2, 2], [None, (0, 0), (0, 0)], identity)
+    assert str(info.value) == "class 1 at level 1 is refined by no class at level 2"
 
 
 def test_non_commuting_plane_tables_are_rejected():
@@ -152,25 +169,87 @@ def test_chain_trace_report_shape():
     assert rep.perturbed_levels > 0
 
 
-def test_corrupted_chain_field_fails_the_shared_step_check():
-    chain = odometer_chain(2, 8)
-    ball = chain.geometry.ball(3)
-    base = random_point(chain, Random(4))
-    entries = [act_point(chain, g, base) for g in ball]
-    act = partial(act_point, chain)
-    gens = chain.spec.generators
-    delta = Fraction(1, 2 ** 3)
-    faces = step_distances(lambda a, x: act(gens[a], x), level_distance,
-                           chain.geometry, 3, entries)
-    # an exact orbit: one face per indexed step, none refutes
-    assert len(faces) == 2 * len(ball) - 2
-    assert not any(refutes(d, delta) for d in faces)
-    one = GroupElement(IntegerLattice(1), (1,))
-    entries[1] = act_point(chain, one, entries[1])  # moves its level-1 class
-    faces = step_distances(lambda a, x: act(gens[a], x), level_distance,
-                           chain.geometry, 3, entries)
-    refuting = [d for d in faces if refutes(d, delta)]
-    assert refuting and all(d.value == 1 for d in refuting)
+def _mixed_radix_chain(tmp_path):
+    """Z acting by adding one on the residues mod 3, 6, 12 and 24, written
+    to a coset table and read back."""
+    spec = integer_line_spec()
+    sizes = [1, 3, 6, 12, 24]
+    parents = [None] + [tuple(i % sizes[n - 1] for i in range(sizes[n]))
+                        for n in range(1, len(sizes))]
+    tables = {g: [tuple((i + g.payload[0]) % size for i in range(size))
+                  for size in sizes] for g in spec.generators}
+    path = str(tmp_path / "mixed.csv")
+    chain_to_csv(QuotientChain(spec, sizes, parents, tables), path)
+    return chain_from_csv(path)
+
+
+def _chain_cases(tmp_path):
+    """(chain, field radius) per kind of chain."""
+    return [(odometer_chain(2, 8), 3), (odometer_chain(3, 5), 2),
+            (plane_lattice_chain(4), 2), (_mixed_radix_chain(tmp_path), 3)]
+
+
+def _rewalk(chain, x, n, rng):
+    """x with level n moved to another child of its level n-1 class, and
+    the levels below it re-walked: its first difference from x is level n."""
+    path = list(x.path[:n])
+    path.append(next(c for c in chain.children(n, path[-1]) if c != x.path[n]))
+    for level in range(n + 1, chain.depth + 1):
+        path.append(rng.choice(chain.children(level, path[-1])))
+    return ProfinitePoint(chain, tuple(path))
+
+
+def test_chain_kernel_matches_the_point_oracle_on_broken_fields(tmp_path):
+    """Exact fields broken at one level at a time, from 1 to the depth, in
+    the first and the last entry: the array step and trace exponents equal
+    the oracle's face-by-face and frame-by-frame distances, and so do the
+    verdicts at every threshold exponent."""
+    rng = Random(4)
+    for chain, radius in _chain_cases(tmp_path):
+        base = random_point(chain, rng)
+        exact = [act_point(chain, g, base) for g in chain.geometry.ball(radius)]
+        assert np.array_equal(profinite._orbit_rows(chain, radius, base.path),
+                              [x.path for x in exact])
+        fields = [exact]
+        for n in range(1, chain.depth + 1):
+            for victim in (0, len(exact) - 1):
+                entries = list(exact)
+                entries[victim] = _rewalk(chain, exact[victim], n, rng)
+                fields.append(entries)
+        seen = set()
+        for entries in fields:
+            field = np.array([x.path for x in entries])
+            steps, residuals = profinite._field_exponents(chain, radius, field)
+            ref_steps = oracles.chain_steps(chain, radius, entries)
+            ref_residuals = oracles.chain_residuals(chain, radius, entries)
+            assert steps.tolist() == list(map(oracles.exponent, ref_steps))
+            assert residuals.tolist() == list(map(oracles.exponent, ref_residuals))
+            seen.update(steps.tolist())
+            for k in range(-1, chain.depth + 1):
+                threshold = Fraction(1, 2 ** k) if k >= 0 else Fraction(2)
+                for got, ref in ((steps, ref_steps), (residuals, ref_residuals)):
+                    assert profinite._verdict(got, k) == (
+                        not any(oracles.refutes(d, threshold) for d in ref),
+                        oracles.worst(ref))
+        # an exact field has marker faces only; each break shows at its level
+        assert seen == set(range(-1, chain.depth))
+
+
+def test_chain_experiment_matches_the_point_experiment(tmp_path):
+    """Same report and the same generator state afterwards, over many seeds
+    and every modulus the depth allows, down to keep = depth (no draws)."""
+    for chain, radius in _chain_cases(tmp_path):
+        for modulus in range(chain.depth - 1):
+            for seed in range(12):
+                rng, ref_rng = Random(seed), Random(seed)
+                got = chain_trace_experiment(chain, radius, modulus, rng)
+                assert got == oracles.chain_trace_experiment(
+                    chain, radius, modulus, ref_rng), (chain.level_sizes, modulus)
+                assert rng.getstate() == ref_rng.getstate()
+                assert all(type(d.exponent) is int for d in
+                           (got.worst_step, got.worst_residual) if d is not None)
+                if modulus + 2 == chain.depth:
+                    assert got.perturbed_levels == 0
 
 
 def test_chain_too_shallow_for_modulus():
@@ -214,9 +293,10 @@ def test_necklace_rotation_and_metric():
     neck = NecklaceShift(6)
     x = (0, 1, 1, 0, 0, 0)
     assert neck.step(x) in ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0))
-    assert neck.distance_exponent(x, x) is None
-    assert neck.distance_exponent(x, (1, 1, 1, 0, 0, 0)) == 0
-    assert neck.distance_exponent(x, (0, 1, 1, 0, 1, 0)) == 4
+    for y, e in ((x, None), ((1, 1, 1, 0, 0, 0), 0), ((0, 1, 1, 0, 1, 0), 4)):
+        assert oracles.coordinate_exponent(x, y) == e
+        kernel = first_exponents(np.array(x) != np.array(y), np.arange(6))
+        assert kernel == (-1 if e is None else e)
     assert neck.step(x) == (1, 1, 0, 0, 0, 0)  # the bit search's left rotation
 
 
@@ -254,14 +334,14 @@ def _ref_necklace_search(width, epsilon_exponent, max_modulus=None, field=None):
         if field is not None:
             orbit = field
         for i in range(len(orbit) - 1):
-            gap = system.distance_exponent(system.step(orbit[i]), orbit[i + 1])
+            gap = oracles.coordinate_exponent(system.step(orbit[i]), orbit[i + 1])
             assert gap is None or gap >= agree_prefix
         tested.append(m)
         for z in itertools.product((0, 1), repeat=width):
             cur = z
             traced = True
             for target in orbit:
-                gap = system.distance_exponent(cur, target)
+                gap = oracles.coordinate_exponent(cur, target)
                 if gap is not None and gap <= epsilon_exponent:
                     traced = False
                     break
@@ -335,3 +415,22 @@ def test_a_planted_necklace_tracer_is_reported_as_the_tuple_search_reports_it(
     got = necklace_modulus_search(width, epsilon_exponent)
     assert got.found and got.detail.startswith("unexpected tracer (")
     assert got == _ref_necklace_search(width, epsilon_exponent, field=field)
+
+
+@pytest.mark.parametrize("gap", [0, 4, 8, 9])
+def test_a_necklace_field_that_breaks_its_own_tolerance_is_refused(
+        monkeypatch, gap):
+    """Width 10 tests moduli up to 7, so every step must agree through
+    coordinate 8: a field whose one broken step first differs there or
+    earlier is refused, one that first differs at coordinate 9 is scanned."""
+    system = NecklaceShift(10)
+    field = [(0,) * 10] * 3 + [tuple(int(i == gap) for i in range(10))]
+    while len(field) < 22:
+        field.append(system.step(field[-1]))
+    monkeypatch.setattr(profinite, "_necklace_pseudo_orbit",
+                        lambda system, dwell: field)
+    if gap <= 8:
+        with pytest.raises(GenerationError, match="broke its own tolerance"):
+            necklace_modulus_search(10, 5)
+    else:
+        assert necklace_modulus_search(10, 5).tested_moduli == (5, 6, 7)

@@ -8,6 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from oracles import refutes, trace_distances
 from shadowlab import shadowing
 from shadowlab.groups import (
     GroupGeometry,
@@ -16,6 +17,7 @@ from shadowlab.groups import (
     integer_line_spec,
     integer_plane_spec,
 )
+from shadowlab.profinite import plane_lattice_chain
 from shadowlab.shifts import (
     Configuration,
     ShiftSpace,
@@ -28,8 +30,8 @@ from shadowlab.shifts import (
     locally_admissible,
     one_forbidden_window_sft,
     random_admissible,
-    refutes,
     shift,
+    threshold_exponent,
 )
 from shadowlab.shadowing import (
     PseudoOrbit,
@@ -45,7 +47,6 @@ from shadowlab.shadowing import (
     separation_window_flip_scan,
     separation_window_pair_scan,
     synthesize_window_spec,
-    trace_distances,
     uniqueness_scan,
     verify_trace,
 )
@@ -812,6 +813,45 @@ def test_trace_gather_matches_the_frame_loop_on_broken_traces(group):
         verify_trace(orb, short, plan)
 
 
+# dyadic tolerances, tolerances between two powers of two, and tolerances
+# of at least 1, which no distance exceeds
+_THRESHOLDS = [Fraction(1, 2 ** j) for j in range(8)] + [
+    Fraction(1, 3), Fraction(3, 8), Fraction(5, 7), Fraction(5, 4), Fraction(3)]
+
+
+def test_every_tolerance_is_decided_as_refutes_decides_it(line_space):
+    """Steps, trace frames and uniqueness frames, each with first
+    differences in every layer, decided against each threshold on integer
+    exponents exactly as the Fraction comparison decides them."""
+    sft = full_shift(line_space)
+    geo = line_space.geometry
+    plan0 = TracingPlan(0, Fraction(1, 8), 2, Fraction(1, 8))
+    orb = generate_pseudo_orbit(sft, 4, plan0, Random(5), mode="exact_orbit",
+                                inner_radius=6)
+    broken = []
+    for victim, pos in itertools.product((0, 8), range(geo.ball_size(6))):
+        cells = orb.cells.copy()
+        cells[victim, pos] ^= 1
+        broken.append(cells)
+    trace = construct_trace(orb)
+    traces = [trace] + [Configuration(line_space, 4, trace.cells[:p]
+                                      + (1 - trace.cells[p],) + trace.cells[p + 1:])
+                        for p in range(9)]
+    for t in _THRESHOLDS:
+        plan = TracingPlan(0, t, 2, t)
+        assert plan.epsilon_exponent == threshold_exponent(t)
+        for cells in broken:
+            field = PseudoOrbit(line_space, sft, 4, 6, t, cells, "exact_orbit", ())
+            assert delta_profile(field) == _ref_step_profile(field), t
+        for y in traces:
+            for chk in verify_trace(orb, y, plan, scan_radius=4).checks:
+                assert chk.passed == (not refutes(chk.dist, t)), (t, chk)
+        for scan in (1, 4):
+            rep = uniqueness_scan(orb, plan, 2 * t + 1, scan_radius=scan,
+                                  comparison_cap=6)
+            assert rep.multiplicity == len(_ref_passers(orb, plan, scan, 6)), t
+
+
 def _assert_frozen(array):
     with pytest.raises(ValueError, match="read-only"):
         array[0, 0] = 0
@@ -830,6 +870,11 @@ def test_field_cells_are_read_only(golden):
     _assert_frozen(fresh.cells)
     cells[0, 0] ^= 1
     assert fresh.cells[0, 0] == orb.cells[0, 0]
+    # a chain field's rows are moved through its chain's frozen level table
+    chain = plane_lattice_chain(3)
+    assert chain.level_table is chain.level_table
+    assert chain.level_table.shape == (4, 4, 64)
+    _assert_frozen(chain.level_table)
     assert [x.cells for x in fresh.entries] == [tuple(r) for r in orb.cells.tolist()]
     with pytest.raises(ValueError, match="needs 9 rows of 17 cells"):
         PseudoOrbit(orb.space, golden, 4, 8, orb.delta, cells[1:], orb.mode, ())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import refutes
 from shadowlab import shifts
 from shadowlab.errors import CapacityError, GenerationError
 from shadowlab.groups import (
@@ -34,11 +35,11 @@ from shadowlab.shifts import (
     locally_admissible,
     one_forbidden_window_sft,
     random_admissible,
-    refutes,
     sft_from_forbidden,
     shift,
     SftSpec,
     ShiftSpace,
+    threshold_exponent,
     _Fill,
     _binary_codes,
 )
@@ -83,6 +84,21 @@ def test_markers_never_refute(line_space):
     far = distance(x, config(line_space, 2, "11101"))
     assert refutes(far, Fraction(1, 2))
     assert not refutes(far, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("threshold", [
+    *(Fraction(1, 2 ** j) for j in range(14)),
+    Fraction(1, 3), Fraction(3, 8), Fraction(5, 7), Fraction(3, 1000),
+    Fraction(1), Fraction(5, 4), Fraction(3)])
+def test_threshold_exponents_decide_as_the_fraction_comparison(threshold):
+    """A definite 2^-e refutes t exactly when 0 <= e <= k(t), and a marker,
+    whatever its exponent, never does."""
+    k = threshold_exponent(threshold)
+    for e in range(13):
+        assert refutes(DyadicDistance(e), threshold) == (0 <= e <= k), e
+        assert not refutes(DyadicDistance(e, True), threshold)
+    assert k == -1 if threshold > 1 else Fraction(1, 2 ** k) >= threshold > \
+        Fraction(1, 2 ** (k + 1))
 
 
 @settings(max_examples=300, deadline=None)
