@@ -80,9 +80,7 @@ class TracingPlan:
 def potp_modulus(window_radius: int, epsilon: Fraction) -> TracingPlan:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    m = window_radius + 1
-    while Fraction(1, 2 ** m) >= epsilon:
-        m += 1
+    m = max(window_radius, threshold_exponent(epsilon)) + 1
     return TracingPlan(window_radius, epsilon, m, Fraction(1, 2 ** (m + 1)))
 
 

@@ -62,6 +62,12 @@ def golden(line_space):
     return golden_mean_sft(line_space)
 
 
+# dyadic tolerances, tolerances between two powers of two, and tolerances
+# of at least 1, which no distance exceeds
+_THRESHOLDS = [Fraction(1, 2 ** j) for j in range(8)] + [
+    Fraction(1, 3), Fraction(3, 8), Fraction(5, 7), Fraction(5, 4), Fraction(3)]
+
+
 def test_modulus_recipe_pins(line_space):
     plan = potp_modulus(1, Fraction(1, 8))
     assert (plan.modulus, plan.delta) == (4, Fraction(1, 32))
@@ -73,10 +79,13 @@ def test_modulus_recipe_pins(line_space):
 
 def test_modulus_recipe_properties():
     for window in range(4):
-        for j in range(1, 8):
-            plan = potp_modulus(window, Fraction(1, 2 ** j))
+        for epsilon in _THRESHOLDS:
+            plan = potp_modulus(window, epsilon)
             assert plan.modulus > window
             assert Fraction(1, 2 ** plan.modulus) < plan.epsilon
+            # and the least such modulus
+            assert (plan.modulus == window + 1
+                    or Fraction(1, 2 ** (plan.modulus - 1)) >= plan.epsilon)
             assert 2 * plan.delta < plan.epsilon
 
 
@@ -811,12 +820,6 @@ def test_trace_gather_matches_the_frame_loop_on_broken_traces(group):
     short = Configuration(sft.space, radius - 1, trace.cells[:cuts[radius]])
     with pytest.raises(ValueError, match="field's ball"):
         verify_trace(orb, short, plan)
-
-
-# dyadic tolerances, tolerances between two powers of two, and tolerances
-# of at least 1, which no distance exceeds
-_THRESHOLDS = [Fraction(1, 2 ** j) for j in range(8)] + [
-    Fraction(1, 3), Fraction(3, 8), Fraction(5, 7), Fraction(5, 4), Fraction(3)]
 
 
 def test_every_tolerance_is_decided_as_refutes_decides_it(line_space):
